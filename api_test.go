@@ -1,224 +1,13 @@
 package hwprof_test
 
-// Equivalence proofs for the deprecated entry points: every legacy name is
-// a thin wrapper over Profile or Connect and must produce bit-identical
-// results — otherwise the migration table in the README is a lie.
-
 import (
 	"context"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
 	"hwprof"
-	"hwprof/internal/server"
 )
-
-func apiConfig(seed uint64) hwprof.Config {
-	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
-	cfg.IntervalLength = 500
-	cfg.Seed = seed
-	return cfg
-}
-
-func apiSource(t *testing.T, seed, n uint64) hwprof.Source {
-	t.Helper()
-	src, err := hwprof.NewWorkload("gcc", hwprof.KindValue, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hwprof.Limit(src, n)
-}
-
-// capture collects hardware profiles through an IntervalFunc.
-func capture(dst *[]map[hwprof.Tuple]uint64) hwprof.IntervalFunc {
-	return func(_ int, _, hw map[hwprof.Tuple]uint64) { *dst = append(*dst, hw) }
-}
-
-func sameProfiles(t *testing.T, want, got []map[hwprof.Tuple]uint64, label string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d vs %d intervals", label, len(want), len(got))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("%s: interval %d diverges", label, i)
-		}
-	}
-}
-
-func TestRunParallelEquivalentToProfile(t *testing.T) {
-	cfg := apiConfig(31)
-	rc := hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 2, NoPerfect: true}
-
-	var legacy []map[hwprof.Tuple]uint64
-	n1, err := hwprof.RunParallel(apiSource(t, 31, 4*cfg.IntervalLength), cfg, rc, capture(&legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unified []map[hwprof.Tuple]uint64
-	n2, err := hwprof.Profile(context.Background(), apiSource(t, 31, 4*cfg.IntervalLength),
-		hwprof.WithConfig(cfg),
-		hwprof.WithShards(2),
-		hwprof.WithoutOracle(),
-		hwprof.OnInterval(capture(&unified)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 4 || n2 != 4 {
-		t.Fatalf("intervals = %d legacy, %d unified, want 4", n1, n2)
-	}
-	sameProfiles(t, legacy, unified, "RunParallel vs Profile")
-}
-
-func TestRunWithEquivalentToProfileWithEngine(t *testing.T) {
-	cfg := apiConfig(32)
-	p1, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var legacy []map[hwprof.Tuple]uint64
-	n1, err := hwprof.RunWith(apiSource(t, 32, 3*cfg.IntervalLength), p1,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, capture(&legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unified []map[hwprof.Tuple]uint64
-	n2, err := hwprof.Profile(context.Background(), apiSource(t, 32, 3*cfg.IntervalLength),
-		hwprof.WithEngine(p2),
-		hwprof.WithIntervalLength(cfg.IntervalLength),
-		hwprof.WithoutOracle(),
-		hwprof.OnInterval(capture(&unified)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 3 || n2 != 3 {
-		t.Fatalf("intervals = %d legacy, %d unified, want 3", n1, n2)
-	}
-	sameProfiles(t, legacy, unified, "RunWith vs Profile+WithEngine")
-}
-
-func TestRunEquivalentToProfile(t *testing.T) {
-	cfg := apiConfig(33)
-	p1, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var legacy, unified []map[hwprof.Tuple]uint64
-	n1, err := hwprof.Run(apiSource(t, 33, 2*cfg.IntervalLength), p1, cfg.IntervalLength,
-		func(_ int, _, hw map[hwprof.Tuple]uint64) { legacy = append(legacy, hw) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := hwprof.Profile(context.Background(), apiSource(t, 33, 2*cfg.IntervalLength),
-		hwprof.WithEngine(p2),
-		hwprof.WithIntervalLength(cfg.IntervalLength),
-		hwprof.OnInterval(capture(&unified)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 2 || n2 != 2 {
-		t.Fatalf("intervals = %d legacy, %d unified, want 2", n1, n2)
-	}
-	sameProfiles(t, legacy, unified, "Run vs Profile+WithEngine")
-}
-
-// startPlainDaemon runs a non-publishing daemon for the remote equivalence
-// tests.
-func startPlainDaemon(t *testing.T) string {
-	t.Helper()
-	srv := server.New(server.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
-	return ln.Addr().String()
-}
-
-// runSession streams a fixed workload through an open session and returns
-// the complete interval profiles.
-func runSession(t *testing.T, sess *hwprof.RemoteSession, seed uint64, intervals int, length uint64) []map[hwprof.Tuple]uint64 {
-	t.Helper()
-	src := apiSource(t, seed, uint64(intervals)*length)
-	var got []map[hwprof.Tuple]uint64
-	n, err := sess.Run(src, func(_ int, counts map[hwprof.Tuple]uint64) {
-		got = append(got, counts)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != intervals {
-		t.Fatalf("session delivered %d intervals, want %d", n, intervals)
-	}
-	return got
-}
-
-func TestDialEquivalentToConnect(t *testing.T) {
-	addr := startPlainDaemon(t)
-	cfg := apiConfig(34)
-
-	legacySess, err := hwprof.Dial(addr, cfg, hwprof.RunConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := runSession(t, legacySess, 34, 3, cfg.IntervalLength)
-
-	unifiedSess, err := hwprof.Connect(context.Background(), addr,
-		hwprof.WithConfig(cfg), hwprof.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified := runSession(t, unifiedSess, 34, 3, cfg.IntervalLength)
-	sameProfiles(t, legacy, unified, "Dial vs Connect")
-}
-
-func TestDialWithEquivalentToConnect(t *testing.T) {
-	addr := startPlainDaemon(t)
-	cfg := apiConfig(35)
-
-	legacySess, err := hwprof.DialWith(addr, cfg, hwprof.RemoteOptions{
-		Shards:    2,
-		BatchSize: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := runSession(t, legacySess, 35, 3, cfg.IntervalLength)
-
-	unifiedSess, err := hwprof.Connect(context.Background(), addr,
-		hwprof.WithConfig(cfg),
-		hwprof.WithShards(2),
-		hwprof.WithBatchSize(128),
-		hwprof.WithoutReconnect()) // RemoteOptions defaults reconnect off
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified := runSession(t, unifiedSess, 35, 3, cfg.IntervalLength)
-	sameProfiles(t, legacy, unified, "DialWith vs Connect")
-}
 
 // TestConnectContextCancelStopsRedial: the ctx handed to Connect governs
 // reconnect dials — cancelling it aborts a session stuck redialing.

@@ -6,6 +6,7 @@
 package hwprof_test
 
 import (
+	"context"
 	"testing"
 
 	"hwprof"
@@ -149,14 +150,15 @@ func meanErrorOn(b *testing.B, w hwprof.Source, cfg hwprof.Config, intervals int
 	}
 	total := 0.0
 	counted := 0
-	n, err := hwprof.Run(hwprof.Limit(w, cfg.IntervalLength*uint64(intervals+1)), p,
-		cfg.IntervalLength, func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
+	n, err := hwprof.Profile(context.Background(), hwprof.Limit(w, cfg.IntervalLength*uint64(intervals+1)),
+		hwprof.WithEngine(p), hwprof.WithIntervalLength(cfg.IntervalLength),
+		hwprof.OnInterval(func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
 			if i == 0 {
 				return
 			}
 			total += hwprof.EvalInterval(perfect, hardware, cfg.ThresholdCount()).Total
 			counted++
-		})
+		}))
 	if err != nil {
 		b.Fatal(err)
 	}

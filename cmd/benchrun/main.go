@@ -48,9 +48,7 @@ import (
 	"hwprof/internal/benchsuite"
 )
 
-// CaseResult is one benchmark case's measurement. Advisory marks cases
-// recorded for the trajectory but excluded from timing regression gates
-// (their allocs are still gated).
+// CaseResult is one benchmark case's measurement.
 type CaseResult struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
@@ -58,7 +56,6 @@ type CaseResult struct {
 	NsPerEvent  float64 `json:"ns_per_event,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	Advisory    bool    `json:"advisory,omitempty"`
 }
 
 // Report is the BENCH_*.json document.
@@ -126,7 +123,6 @@ func measureCase(c benchsuite.Case, benchtime time.Duration, repeat int) CaseRes
 		NsPerEvent:  best.Extra["ns/event"],
 		AllocsPerOp: best.AllocsPerOp(),
 		BytesPerOp:  best.AllocedBytesPerOp(),
-		Advisory:    c.Advisory,
 	}
 }
 
@@ -197,7 +193,7 @@ func printDelta(w io.Writer, old, cur Report) {
 //
 //   - allocation-freedom: every case must report 0 allocs/op — the
 //     steady-state hot path's zero-allocation contract;
-//   - normalized regression: for non-advisory cases present in both
+//   - normalized regression: for cases present in both
 //     reports, the current/baseline headline ratio divided by the
 //     suite's median ratio must not exceed maxRatio. Dividing by the
 //     median cancels whole-machine speed differences between the
@@ -226,9 +222,6 @@ func gate(cur, base Report, maxRatio float64) []gateFail {
 	}
 	var ratios []ratioCase
 	for _, c := range cur.Cases {
-		if c.Advisory {
-			continue
-		}
 		if b, ok := baseBy[c.Name]; ok && b.headline() > 0 && c.headline() > 0 {
 			ratios = append(ratios, ratioCase{c.Name, c.headline() / b.headline()})
 		}

@@ -401,14 +401,9 @@ func (g *generator) session(idx int) outcome {
 	} else {
 		cfg.Seed = g.seed + uint64(idx)
 	}
-	sess, err := hwprof.DialWith(g.addr, cfg, hwprof.RemoteOptions{
-		Shards:      g.shards,
-		BatchSize:   g.batch,
-		Reconnect:   true,
-		BackoffBase: g.backoff,
-		MaxAttempts: g.attempts,
-		Dialer:      dialer,
-	})
+	sess, err := hwprof.Connect(context.Background(), g.addr, hwprof.WithConfig(cfg),
+		hwprof.WithShards(g.shards), hwprof.WithBatchSize(g.batch), hwprof.WithReconnect(),
+		hwprof.WithBackoff(g.backoff, 0), hwprof.WithMaxAttempts(g.attempts), hwprof.WithDialer(dialer))
 	if err != nil {
 		return outcome{idx: idx, refused: isOverload(err), err: err}
 	}

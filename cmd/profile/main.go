@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -148,19 +149,25 @@ func run(traceFile, workload, program, kindName string, seed, interval uint64,
 	thresh := cfg.ThresholdCount()
 	// -reuse-profiles is safe here because printTop finishes with each map
 	// inside the callback; nothing retains an interval's profile after it.
-	rc := hwprof.RunConfig{IntervalLength: interval, BatchSize: batch, NoPerfect: !exact, ReuseProfiles: reuse}
-	n, err := hwprof.RunWith(hwprof.Limit(src, interval*uint64(intervals)), p, rc,
-		func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
-			if perfect != nil {
-				iv := hwprof.EvalInterval(perfect, hardware, thresh)
-				fmt.Printf("\ninterval %d: error %.2f%% (FP %.2f / FN %.2f / NP %.2f / NN %.2f), %d perfect candidates\n",
-					i, iv.Total*100, iv.FalsePos*100, iv.FalseNeg*100,
-					iv.NeutralPos*100, iv.NeutralNeg*100, iv.PerfectCandidates)
-			} else {
-				fmt.Printf("\ninterval %d:\n", i)
-			}
-			printTop(hardware, thresh, top)
-		})
+	opts := []hwprof.Option{hwprof.WithEngine(p), hwprof.WithIntervalLength(interval), hwprof.WithBatchSize(batch)}
+	if !exact {
+		opts = append(opts, hwprof.WithoutOracle())
+	}
+	if reuse {
+		opts = append(opts, hwprof.WithProfileReuse())
+	}
+	opts = append(opts, hwprof.OnInterval(func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
+		if perfect != nil {
+			iv := hwprof.EvalInterval(perfect, hardware, thresh)
+			fmt.Printf("\ninterval %d: error %.2f%% (FP %.2f / FN %.2f / NP %.2f / NN %.2f), %d perfect candidates\n",
+				i, iv.Total*100, iv.FalsePos*100, iv.FalseNeg*100,
+				iv.NeutralPos*100, iv.NeutralNeg*100, iv.PerfectCandidates)
+		} else {
+			fmt.Printf("\ninterval %d:\n", i)
+		}
+		printTop(hardware, thresh, top)
+	}))
+	n, err := hwprof.Profile(context.Background(), hwprof.Limit(src, interval*uint64(intervals)), opts...)
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,8 @@ import (
 
 // crashableDaemon runs a journaled publishing daemon meant to be killed:
 // Serve's exit is delivered on the channel, not asserted in a cleanup.
-func crashableDaemon(t *testing.T, cfg server.Config, addr string) (*server.Server, string, chan error) {
+func crashableDaemon(t *testing.T, srv *server.Server, addr string) (string, chan error) {
 	t.Helper()
-	srv := server.New(cfg)
 	var ln net.Listener
 	var err error
 	deadline := time.Now().Add(5 * time.Second)
@@ -42,7 +41,7 @@ func crashableDaemon(t *testing.T, cfg server.Config, addr string) (*server.Serv
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	return srv, ln.Addr().String(), done
+	return ln.Addr().String(), done
 }
 
 func TestTreeRootBitIdenticalAcrossDaemonCrash(t *testing.T) {
@@ -63,7 +62,8 @@ func TestTreeRootBitIdenticalAcrossDaemonCrash(t *testing.T) {
 		JournalDir:    t.TempDir(),
 		JournalSync:   journal.SyncBatch,
 	}
-	srv0, d0, done0 := crashableDaemon(t, dcfg, "127.0.0.1:0")
+	srv0 := server.New(dcfg)
+	d0, done0 := crashableDaemon(t, srv0, "127.0.0.1:0")
 	d1 := startDaemon(t, "m1")
 	root := startAggd(t, "root", []string{d0, d1})
 
@@ -149,7 +149,9 @@ func TestTreeRootBitIdenticalAcrossDaemonCrash(t *testing.T) {
 		t.Fatalf("killed daemon's Serve: %v", err)
 	}
 
-	srv2, _, done2 := crashableDaemon(t, dcfg, d0)
+	// Recover before serving, as cmd/profiled does: a reconnect that
+	// reached the daemon first would be refused as an unknown session.
+	srv2 := server.New(dcfg)
 	recovered, err := srv2.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -157,6 +159,7 @@ func TestTreeRootBitIdenticalAcrossDaemonCrash(t *testing.T) {
 	if recovered != 1 {
 		t.Fatalf("recovered %d sessions, want 1", recovered)
 	}
+	_, done2 := crashableDaemon(t, srv2, d0)
 	t.Cleanup(func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

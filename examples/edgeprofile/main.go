@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -27,14 +28,15 @@ func main() {
 	}
 
 	edges := map[hwprof.Tuple]uint64{}
-	_, err = hwprof.Run(hwprof.Limit(src, cfg.IntervalLength*5), profiler,
-		cfg.IntervalLength, func(_ int, _, hardware map[hwprof.Tuple]uint64) {
+	_, err = hwprof.Profile(context.Background(), hwprof.Limit(src, cfg.IntervalLength*5),
+		hwprof.WithEngine(profiler), hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, hardware map[hwprof.Tuple]uint64) {
 			for t, n := range hardware {
 				if n >= cfg.ThresholdCount() {
 					edges[t] += n
 				}
 			}
-		})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -58,8 +59,9 @@ func main() {
 	}
 
 	src := hwprof.FromNexter(&flowGen{r: xrand.New(7)})
-	_, err = hwprof.Run(hwprof.Limit(src, cfg.IntervalLength*4), profiler,
-		cfg.IntervalLength, func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
+	_, err = hwprof.Profile(context.Background(), hwprof.Limit(src, cfg.IntervalLength*4),
+		hwprof.WithEngine(profiler), hwprof.WithIntervalLength(cfg.IntervalLength),
+		hwprof.OnInterval(func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
 			iv := hwprof.EvalInterval(perfect, hardware, cfg.ThresholdCount())
 			fmt.Printf("interval %d: %d heavy flows caught, accounting error %.2f%%\n",
 				i, iv.PerfectCandidates, iv.Total*100)
@@ -79,7 +81,7 @@ func main() {
 					ip(f.t.A), ip(f.t.B), f.n,
 					100*float64(f.n)/float64(cfg.IntervalLength))
 			}
-		})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,8 +36,9 @@ func main() {
 	}
 
 	fmt.Println("profiling two context-switching processes (quantum 1000 events):")
-	_, err = hwprof.Run(hwprof.Limit(merged, 4*cfg.IntervalLength), profiler,
-		cfg.IntervalLength, func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
+	_, err = hwprof.Profile(context.Background(), hwprof.Limit(merged, 4*cfg.IntervalLength),
+		hwprof.WithEngine(profiler), hwprof.WithIntervalLength(cfg.IntervalLength),
+		hwprof.OnInterval(func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
 			iv := hwprof.EvalInterval(perfect, hardware, cfg.ThresholdCount())
 			cands := 0
 			for _, n := range hardware {
@@ -46,7 +48,7 @@ func main() {
 			}
 			fmt.Printf("  interval %d: %2d candidates across both processes, error %.2f%%\n",
 				i, cands, iv.Total*100)
-		})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -32,8 +33,9 @@ func main() {
 	// Aggregate the per-interval hardware profiles: for every load PC,
 	// how much of its profiled traffic is one dominant value?
 	perPC := map[uint64]map[uint64]uint64{}
-	intervals, err := hwprof.Run(hwprof.Limit(src, cfg.IntervalLength*10), profiler,
-		cfg.IntervalLength, func(_ int, _, hardware map[hwprof.Tuple]uint64) {
+	intervals, err := hwprof.Profile(context.Background(), hwprof.Limit(src, cfg.IntervalLength*10),
+		hwprof.WithEngine(profiler), hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, hardware map[hwprof.Tuple]uint64) {
 			for t, n := range hardware {
 				if n < cfg.ThresholdCount() {
 					continue
@@ -43,7 +45,7 @@ func main() {
 				}
 				perPC[t.A][t.B] += n
 			}
-		})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

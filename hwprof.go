@@ -28,8 +28,7 @@
 // which builds a sharded concurrent engine and preserves exact interval
 // semantics. Connect opens a session with a profiled daemon the same way,
 // and Subscribe attaches to an epoch publisher (a publishing daemon or an
-// aggd fleet aggregator) for merged fleet profiles. The legacy Run /
-// RunWith / RunParallel / Dial forms remain as deprecated wrappers.
+// aggd fleet aggregator) for merged fleet profiles.
 //
 // See the examples/ directory for complete programs, DESIGN.md for the
 // system inventory and EXPERIMENTS.md for the paper-vs-measured record.
@@ -190,36 +189,6 @@ func BestMultiHash(base Config) Config { return core.BestMultiHash(base) }
 // after the callback returns.
 type IntervalFunc = core.IntervalFunc
 
-// RunConfig carries the knobs of the batched drivers: the interval length,
-// the batch size of the source→profiler hot loop, and — for RunParallel's
-// convenience constructor path — the shard count.
-type RunConfig struct {
-	// IntervalLength is the number of events per profile interval.
-	IntervalLength uint64
-
-	// BatchSize is the number of tuples moved per batch; 0 selects
-	// event.DefaultBatchSize. Interval boundaries are placed identically
-	// at every batch size.
-	BatchSize int
-
-	// Shards is the shard count used when a driver builds its own
-	// ShardedProfiler; 0 or 1 means sequential.
-	Shards int
-
-	// NoPerfect disables the perfect (oracle) profiler; the callback then
-	// receives a nil perfect map. Throughput-oriented runs want this: the
-	// oracle's map insert per event costs more than the whole hardware
-	// model.
-	NoPerfect bool
-
-	// ReuseProfiles recycles the interval-profile maps back into the
-	// profilers after each callback, making interval boundaries
-	// allocation-free in steady state. The callback must then finish with
-	// the maps before returning — they are invalid afterwards. Runs with a
-	// nil callback always recycle; the maps are never observed.
-	ReuseProfiles bool
-}
-
 // Profile is the unified local entry point: it feeds src through a
 // profiling engine on the batched fast path, invoking the OnInterval
 // callback at each boundary, and returns the number of complete intervals
@@ -244,22 +213,17 @@ func Profile(ctx context.Context, src Source, opts ...Option) (int, error) {
 	}
 	o := buildOptions(opts)
 	if o.eng != nil {
-		return core.RunBatchedContext(ctx, src, o.eng, core.RunConfig{
-			IntervalLength: o.run.IntervalLength,
-			BatchSize:      o.run.BatchSize,
-			NoPerfect:      o.run.NoPerfect,
-			ReuseProfiles:  o.run.ReuseProfiles,
-		}, o.onInterval)
+		return core.RunBatchedContext(ctx, src, o.eng, o.run, o.onInterval)
 	}
 	cfg := BestMultiHash(ShortIntervalConfig())
 	if o.cfg != nil {
 		cfg = *o.cfg
 	}
 	rc := o.run
-	if !o.legacy && rc.IntervalLength == 0 {
+	if rc.IntervalLength == 0 {
 		rc.IntervalLength = cfg.IntervalLength
 	}
-	shards := rc.Shards
+	shards := o.shards
 	if shards == 0 {
 		shards = 1
 	}
@@ -267,65 +231,11 @@ func Profile(ctx context.Context, src Source, opts ...Option) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := core.RunBatchedContext(ctx, src, sp, core.RunConfig{
-		IntervalLength: rc.IntervalLength,
-		BatchSize:      rc.BatchSize,
-		NoPerfect:      rc.NoPerfect,
-		ReuseProfiles:  rc.ReuseProfiles,
-	}, o.onInterval)
+	n, err := core.RunBatchedContext(ctx, src, sp, rc, o.onInterval)
 	if _, derr := sp.Drain(); err == nil && derr != nil {
 		err = derr
 	}
 	return n, err
-}
-
-// RunWith feeds src through hw on the batched fast path.
-//
-// Deprecated: use Profile with WithEngine — RunWith is a thin wrapper over
-// it and keeps its exact semantics:
-//
-//	Profile(ctx, src, WithEngine(hw), WithIntervalLength(n), OnInterval(fn))
-func RunWith(src Source, hw StreamProfiler, cfg RunConfig, fn IntervalFunc) (int, error) {
-	return RunWithContext(context.Background(), src, hw, cfg, fn)
-}
-
-// RunWithContext is RunWith under a context.
-//
-// Deprecated: use Profile with WithEngine; see RunWith.
-func RunWithContext(ctx context.Context, src Source, hw StreamProfiler, cfg RunConfig, fn IntervalFunc) (int, error) {
-	return Profile(ctx, src, WithEngine(hw), withRunConfig(cfg), OnInterval(fn))
-}
-
-// RunParallel builds a sharded engine from cfg and rc, streams src through
-// it, and closes it before returning.
-//
-// Deprecated: use Profile — it builds (and gracefully shuts down) the
-// sharded engine itself and keeps RunParallel's exact semantics:
-//
-//	Profile(ctx, src, WithConfig(cfg), WithShards(n), OnInterval(fn))
-func RunParallel(src Source, cfg Config, rc RunConfig, fn IntervalFunc) (int, error) {
-	return RunParallelContext(context.Background(), src, cfg, rc, fn)
-}
-
-// RunParallelContext is RunParallel under a context.
-//
-// Deprecated: use Profile; see RunParallel.
-func RunParallelContext(ctx context.Context, src Source, cfg Config, rc RunConfig, fn IntervalFunc) (int, error) {
-	return Profile(ctx, src, WithConfig(cfg), withRunConfig(rc), OnInterval(fn))
-}
-
-// Run feeds src through hw and a perfect profiler, invoking fn at each
-// interval boundary with the exact and hardware profiles, and returns the
-// number of complete intervals processed.
-//
-// Deprecated: Run is the legacy positional form; use Profile with
-// WithEngine. Run is a thin wrapper and keeps its exact semantics.
-func Run(src Source, hw *Profiler, intervalLength uint64, fn func(index int, perfect, hardware map[Tuple]uint64)) (int, error) {
-	var cb core.IntervalFunc
-	if fn != nil {
-		cb = func(i int, p, h map[event.Tuple]uint64) { fn(i, p, h) }
-	}
-	return RunWith(src, hw, RunConfig{IntervalLength: intervalLength}, cb)
 }
 
 // EvalInterval computes the paper's error breakdown for one interval.
@@ -419,8 +329,8 @@ func WriteTrace(w io.Writer, kind Kind, src Source, max uint64) (uint64, error) 
 // OpenTrace wraps a binary trace stream as a Source. The returned reader
 // also exposes the trace's tuple kind. When the stream ends, the reader's
 // Err method distinguishes a cleanly finished trace (nil) from truncation
-// or corruption (ErrTraceTruncated / ErrTraceCorrupt); the Run drivers
-// check it automatically and return the failure.
+// or corruption (ErrTraceTruncated / ErrTraceCorrupt); Profile checks it
+// automatically and returns the failure.
 func OpenTrace(r io.Reader) (*trace.Reader, error) { return trace.NewReader(r) }
 
 // AdaptiveConfig parameterizes the adaptive interval-length extension

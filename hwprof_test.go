@@ -50,16 +50,17 @@ func TestRunAndEvalRoundTrip(t *testing.T) {
 	}
 	w, _ := hwprof.NewWorkload("m88ksim", hwprof.KindValue, 2)
 	calls := 0
-	n, err := hwprof.Run(hwprof.Limit(w, 3*cfg.IntervalLength), p, cfg.IntervalLength,
-		func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
+	n, err := hwprof.Profile(context.Background(), hwprof.Limit(w, 3*cfg.IntervalLength),
+		hwprof.WithEngine(p), hwprof.WithIntervalLength(cfg.IntervalLength),
+		hwprof.OnInterval(func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
 			calls++
 			iv := hwprof.EvalInterval(perfect, hardware, cfg.ThresholdCount())
 			if iv.Total < 0 {
 				t.Fatalf("negative error %v", iv.Total)
 			}
-		})
+		}))
 	if err != nil || n != 3 || calls != 3 {
-		t.Fatalf("Run = %d, %v; calls = %d", n, err, calls)
+		t.Fatalf("Profile = %d, %v; calls = %d", n, err, calls)
 	}
 }
 
@@ -150,9 +151,9 @@ func TestWriteTraceZeroMeansNoLimit(t *testing.T) {
 	}
 }
 
-// TestRunWithMatchesRun: the options-form batched driver and the legacy
-// positional driver produce identical interval profiles.
-func TestRunWithMatchesRun(t *testing.T) {
+// TestProfileBatchSizeInvariant: Profile over a caller's engine produces
+// identical interval profiles at the default and an odd batch size.
+func TestProfileBatchSizeInvariant(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	w, _ := hwprof.NewWorkload("gcc", hwprof.KindValue, 5)
 	tuples := make([]hwprof.Tuple, 3*cfg.IntervalLength)
@@ -160,34 +161,29 @@ func TestRunWithMatchesRun(t *testing.T) {
 		tuples[i], _ = w.Next()
 	}
 
-	collect := func(run func(p *hwprof.Profiler, fn hwprof.IntervalFunc) (int, error)) []map[hwprof.Tuple]uint64 {
+	collect := func(batch int) []map[hwprof.Tuple]uint64 {
 		t.Helper()
 		p, err := hwprof.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []map[hwprof.Tuple]uint64
-		n, err := run(p, func(_ int, _, h map[hwprof.Tuple]uint64) { out = append(out, h) })
+		n, err := hwprof.Profile(context.Background(), hwprof.NewSliceSource(tuples),
+			hwprof.WithEngine(p), hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithBatchSize(batch),
+			hwprof.OnInterval(func(_ int, _, h map[hwprof.Tuple]uint64) { out = append(out, h) }))
 		if err != nil || n != 3 {
-			t.Fatalf("run = %d, %v", n, err)
+			t.Fatalf("batch %d: Profile = %d, %v", batch, n, err)
 		}
 		return out
 	}
-
-	legacy := collect(func(p *hwprof.Profiler, fn hwprof.IntervalFunc) (int, error) {
-		return hwprof.Run(hwprof.NewSliceSource(tuples), p, cfg.IntervalLength, fn)
-	})
-	batched := collect(func(p *hwprof.Profiler, fn hwprof.IntervalFunc) (int, error) {
-		return hwprof.RunWith(hwprof.NewSliceSource(tuples), p,
-			hwprof.RunConfig{IntervalLength: cfg.IntervalLength, BatchSize: 77}, fn)
-	})
-	if !reflect.DeepEqual(legacy, batched) {
-		t.Fatal("RunWith diverges from legacy Run")
+	if !reflect.DeepEqual(collect(0), collect(77)) {
+		t.Fatal("batch size 77 diverges from the default batch size")
 	}
 }
 
 // TestShardedFacade drives the sharded engine end-to-end through the
-// facade: NewSharded + RunWith, and the one-call RunParallel, must agree.
+// facade: NewSharded + Profile over it, and Profile building its own
+// sharded engine, must agree.
 func TestShardedFacade(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	cfg.Seed = 6
@@ -196,28 +192,28 @@ func TestShardedFacade(t *testing.T) {
 	for i := range tuples {
 		tuples[i], _ = w.Next()
 	}
-	rc := hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 4, NoPerfect: true}
-
 	sp, err := hwprof.NewSharded(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var manual []map[hwprof.Tuple]uint64
-	n, err := hwprof.RunWith(hwprof.NewSliceSource(tuples), sp, rc,
-		func(_ int, _, h map[hwprof.Tuple]uint64) { manual = append(manual, h) })
+	n, err := hwprof.Profile(context.Background(), hwprof.NewSliceSource(tuples),
+		hwprof.WithEngine(sp), hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, h map[hwprof.Tuple]uint64) { manual = append(manual, h) }))
 	sp.Close()
 	if err != nil || n != 2 {
-		t.Fatalf("RunWith over sharded engine = %d, %v", n, err)
+		t.Fatalf("Profile over sharded engine = %d, %v", n, err)
 	}
 
 	var oneCall []map[hwprof.Tuple]uint64
-	n, err = hwprof.RunParallel(hwprof.NewSliceSource(tuples), cfg, rc,
-		func(_ int, _, h map[hwprof.Tuple]uint64) { oneCall = append(oneCall, h) })
+	n, err = hwprof.Profile(context.Background(), hwprof.NewSliceSource(tuples),
+		hwprof.WithConfig(cfg), hwprof.WithShards(4), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, h map[hwprof.Tuple]uint64) { oneCall = append(oneCall, h) }))
 	if err != nil || n != 2 {
-		t.Fatalf("RunParallel = %d, %v", n, err)
+		t.Fatalf("Profile with 4 shards = %d, %v", n, err)
 	}
 	if !reflect.DeepEqual(manual, oneCall) {
-		t.Fatal("RunParallel diverges from NewSharded + RunWith")
+		t.Fatal("Profile's own sharded engine diverges from NewSharded")
 	}
 	for i, h := range oneCall {
 		if len(h) == 0 {
@@ -348,18 +344,18 @@ func TestFromNexterFacade(t *testing.T) {
 	}
 }
 
-// TestRunParallelContextFacade: cancellation stops the one-call parallel
-// driver with ctx.Err() and the engine is torn down for the caller.
-func TestRunParallelContextFacade(t *testing.T) {
+// TestProfileContextFacade: cancellation stops Profile's own sharded
+// engine with ctx.Err() and the engine is torn down for the caller.
+func TestProfileContextFacade(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	ctx, cancel := context.WithCancel(context.Background())
-	n, err := hwprof.RunParallelContext(ctx, hwprof.FromNexter(&countingNexter{}), cfg,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 2, NoPerfect: true},
-		func(i int, _, _ map[hwprof.Tuple]uint64) {
+	n, err := hwprof.Profile(ctx, hwprof.FromNexter(&countingNexter{}),
+		hwprof.WithConfig(cfg), hwprof.WithShards(2), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(i int, _, _ map[hwprof.Tuple]uint64) {
 			if i == 1 {
 				cancel()
 			}
-		})
+		}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -397,10 +393,10 @@ func TestDrainViaFacade(t *testing.T) {
 	}
 }
 
-// TestRunWithReportsTraceFaults: the facade's headline robustness promise —
+// TestProfileReportsTraceFaults: the facade's headline robustness promise —
 // profiling a damaged trace file ends with a matchable error, not a
 // silently shortened run.
-func TestRunWithReportsTraceFaults(t *testing.T) {
+func TestProfileReportsTraceFaults(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	var buf bytes.Buffer
 	w, _ := hwprof.NewWorkload("li", hwprof.KindValue, 4)
@@ -418,7 +414,8 @@ func TestRunWithReportsTraceFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = hwprof.RunWith(r, p, hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+		_, err = hwprof.Profile(context.Background(), r, hwprof.WithEngine(p),
+			hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 		return err
 	}
 

@@ -329,6 +329,16 @@ func (e *Elastic) escalate(sig Signals) (Action, bool) {
 			})
 		}
 	}
+	// Rung 1 comes next on a shed-policy session: its gate engages at the
+	// same high water this controller escalates at, so pressure at full
+	// service is the gate shedding even when no batch has been dropped
+	// before this boundary. Climbing straight to rung 2 would skip it.
+	if cfg.Shed && e.rung < RungShed {
+		return e.propose(Action{
+			Op: OpShed, Geometry: cur, Rung: RungShed,
+			Reason: fmt.Sprintf("queue pressure %d ≥ %d for %d boundaries at full service", sig.QueueLen, cfg.HighWater, e.hi),
+		})
+	}
 	// Rung 2: coarsen the interval — fewer boundaries means less flush,
 	// encode and journal work per event. Under the cost model a longer
 	// interval is a cost increase, so a tight tenant budget may refuse it;

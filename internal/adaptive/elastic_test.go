@@ -93,6 +93,25 @@ func TestElasticLadderEscalation(t *testing.T) {
 	}
 }
 
+// TestElasticQueuePressureEntersShedRung: on a shed-policy session, queue
+// pressure that reaches a boundary before any batch was shed still climbs
+// through rung 1 before coarsening — the ladder never skips a rung.
+func TestElasticQueuePressureEntersShedRung(t *testing.T) {
+	cfg := hairTrigger()
+	cfg.MaxShards = 1
+	e := NewElastic(cfg)
+	cur := cfg.Admitted
+	queued := func(cur Geometry) Signals {
+		return Signals{Cur: cur, QueueLen: 100, ShedDelta: 0, Variation: -1}
+	}
+	if a := drive(t, e, queued, &cur, 10); a.Op != OpShed || a.Rung != RungShed {
+		t.Fatalf("first action = %s at rung %d, want %s at rung %d", a.Op, a.Rung, OpShed, RungShed)
+	}
+	if a := drive(t, e, queued, &cur, 10); a.Op != OpCoarsen {
+		t.Fatalf("second action = %s, want %s", a.Op, OpCoarsen)
+	}
+}
+
 // TestElasticScaleOutBeforeDegrading verifies the controller prefers a
 // shard scale-up over any accuracy-costing rung when the budget allows,
 // and steps straight to the ladder when it does not.

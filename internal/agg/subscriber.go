@@ -244,9 +244,6 @@ func (s *Subscriber) attachOnce() (attached bool, err error) {
 	if err := wc.ClientHandshake(); err != nil {
 		return false, err
 	}
-	if wc.Version() < 2 {
-		return false, permanent{fmt.Errorf("upstream speaks protocol v%d; subscriptions need v2", wc.Version())}
-	}
 	want := s.next.Load()
 	if err := wc.WriteFrame(wire.MsgSubscribe, wire.AppendSubscribe(nil, wire.Subscribe{Start: want})); err != nil {
 		return false, err
@@ -355,7 +352,7 @@ func (s *Subscriber) Close() {
 }
 
 // ServeSubscription answers one wire Subscribe on an accepted, handshaken
-// v2 connection: acknowledge with the feed's identity and the first epoch
+// connection: acknowledge with the feed's identity and the first epoch
 // actually available, then stream closed epochs until the subscriber hangs
 // up, falls hopelessly behind (its feed channel overflowed — it
 // resubscribes from retention), or the feed closes.

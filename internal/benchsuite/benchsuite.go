@@ -22,15 +22,10 @@ import (
 )
 
 // Case is one named benchmark. Cases that process events report an
-// "ns/event" metric; component micro-cases are plain ns/op. Advisory
-// cases are measured and recorded but excluded from regression gating:
-// they document a measured trade-off (e.g. the ordered-vs-banked sweep
-// crossover) whose numbers are too workload- and cache-sensitive to be
-// a stable contract.
+// "ns/event" metric; component micro-cases are plain ns/op.
 type Case struct {
-	Name     string
-	F        func(b *testing.B)
-	Advisory bool
+	Name string
+	F    func(b *testing.B)
 }
 
 // workloadSeed fixes the event stream of every case.
@@ -214,32 +209,13 @@ func hashIndexCase() func(b *testing.B) {
 	}
 }
 
-// deepConfig returns the deepest fusable plain-update geometry — 4×32768
-// = 128Ki counters (512 KB of words) at the short-interval regime — with
-// and without the banked sweep opted in. The pair is what keeps the
-// ordered-vs-banked crossover decision in banked.go measured rather than
-// assumed: if hardware ever appears where the banked case wins, the
-// default should be revisited.
-func deepConfig(banked bool) core.Config {
-	cfg := core.ShortIntervalConfig()
-	cfg.NumTables = 4
-	cfg.TotalEntries = 1 << 17
-	cfg.ResetOnPromote = true
-	cfg.Retain = true
-	if banked {
-		cfg.BankedSweepMinCounters = 1
-	}
-	return cfg
-}
-
 // Suite returns the benchmark cases in reporting order.
 //
 // The observe-batch/multi case is the headline number: the paper's best
 // multi-hash configuration (4×512 C1 R0 P1) at the short-interval regime,
 // driven through ObserveBatch exactly as RunBatched drives it. The
 // multi-lenN cases sweep the batch length across the staged pipeline's
-// break-even point, and the deep pair measures the bank-bucketed sweep
-// against the ordered pipeline on a cache-hostile counter set.
+// break-even point.
 func Suite() []Case {
 	short := core.ShortIntervalConfig()
 	long := core.LongIntervalConfig()
@@ -251,8 +227,6 @@ func Suite() []Case {
 		{Name: "observe-batch/multi-len64", F: observeBatchLenCase(core.BestMultiHash(short), 64)},
 		{Name: "observe-batch/multi-len512", F: observeBatchLenCase(core.BestMultiHash(short), 512)},
 		{Name: "observe-batch/multi-len4096", F: observeBatchLenCase(core.BestMultiHash(short), 4096)},
-		{Name: "observe-batch/deep", F: observeBatchLenCase(deepConfig(false), 4096), Advisory: true},
-		{Name: "observe-batch/deep-banked", F: observeBatchLenCase(deepConfig(true), 4096), Advisory: true},
 		{Name: "observe/per-event", F: observePerEventCase(core.BestMultiHash(short))},
 		{Name: "accum/inc", F: accumIncCase()},
 		{Name: "accum/insert-evict", F: accumInsertCase()},

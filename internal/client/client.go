@@ -6,7 +6,7 @@
 // A Session runs one background goroutine that reads server frames and
 // feeds the Profiles channel; the caller's goroutine writes. Run is the
 // high-level driver — stream a whole Source, invoke a callback per interval
-// profile, drain — and mirrors hwprof.RunParallel closely enough that, on a
+// profile, drain — and mirrors hwprof.Profile closely enough that, on a
 // block-policy server, the two produce bit-identical profiles for the same
 // configuration, seed and stream.
 //
@@ -104,12 +104,11 @@ type Options struct {
 	// connections for fault injection. Nil uses net.DialTimeout.
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 
-	// Marked opens a marked session (protocol v2): the client places every
+	// Marked opens a marked session: the client places every
 	// interval boundary itself by calling Session.Mark, and the daemon
 	// stops clipping the stream by IntervalLength. A coordinator that owns
 	// a fleet-wide union stream uses marks to align every member session's
-	// interval — and therefore epoch — boundaries with the union's. Dialing
-	// a daemon that only speaks v1 fails.
+	// interval — and therefore epoch — boundaries with the union's.
 	Marked bool
 }
 
@@ -127,11 +126,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Notice is one elastic-serving announcement from the daemon (protocol
-// v3): a live resize, a degradation-ladder move, or an imminent park. It
-// is an absolute snapshot of the session's geometry from interval Index+1
-// on; the session applies it to its own position arithmetic before
-// surfacing it, so a caller may ignore notices entirely.
+// Notice is one elastic-serving announcement from the daemon: a live
+// resize, a degradation-ladder move, or an imminent park. It is an
+// absolute snapshot of the session's geometry from interval Index+1 on;
+// the session applies it to its own position arithmetic before surfacing
+// it, so a caller may ignore notices entirely.
 type Notice struct {
 	// Kind classifies the announcement (NoticeResize, NoticeDegrade,
 	// NoticePark).
@@ -251,11 +250,11 @@ type Session struct {
 	permErr    error // terminal session error
 	readErr    error // reader's terminal error (when not permErr)
 
-	// Elastic anchor (v3 daemons): a complete profile i ≥ baseIdx proves
+	// Elastic anchor: a complete profile i ≥ baseIdx proves
 	// the daemon consumed obsBase + (i+1−baseIdx)·curLen observed events.
 	// With no resize the anchor stays at (cfg.IntervalLength, 0, 0) and
 	// the arithmetic reduces to the fixed-length (i+1)·L form. Notices and
-	// v3 resume acks move it. curEntries/curTables/curShards complete the
+	// resume acks move it. curEntries/curTables/curShards complete the
 	// geometry snapshot so the Resizes counter catches changes on any axis.
 	curLen     uint64
 	baseIdx    uint64
@@ -332,11 +331,8 @@ func open(addr string, conn net.Conn, cfg core.Config, opts Options) (*Session, 
 	if err := wc.ClientHandshake(); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	if opts.Marked && wc.Version() < 2 {
-		return nil, fmt.Errorf("client: daemon speaks protocol v%d; marked sessions need v2", wc.Version())
-	}
 	hello := wire.Hello{Config: cfg, Shards: opts.Shards, Marked: opts.Marked}
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, hello, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, hello)); err != nil {
 		return nil, fmt.Errorf("client: sending hello: %w", err)
 	}
 	typ, payload, err := wc.ReadFrame()
@@ -362,17 +358,17 @@ func open(addr string, conn net.Conn, cfg core.Config, opts Options) (*Session, 
 		batchSize = event.DefaultBatchSize
 	}
 	s := &Session{
-		addr:      addr,
-		cfg:       cfg,
-		opts:      opts,
-		ack:       ack,
-		batchSize: batchSize,
-		pending:   make([]event.Tuple, 0, batchSize),
-		profiles:  make(chan Profile, 64),
-		notices:   make(chan Notice, 64),
-		closeCh:   make(chan struct{}),
-		conn:      conn,
-		wc:        wc,
+		addr:       addr,
+		cfg:        cfg,
+		opts:       opts,
+		ack:        ack,
+		batchSize:  batchSize,
+		pending:    make([]event.Tuple, 0, batchSize),
+		profiles:   make(chan Profile, 64),
+		notices:    make(chan Notice, 64),
+		closeCh:    make(chan struct{}),
+		conn:       conn,
+		wc:         wc,
 		replayOn:   opts.Reconnect && ack.Resume,
 		curLen:     cfg.IntervalLength,
 		curEntries: cfg.TotalEntries,
@@ -746,22 +742,8 @@ func (s *Session) resumeOnce() error {
 		conn.Close()
 		return err
 	}
-	if s.opts.Marked && wc.Version() < 2 {
-		conn.Close()
-		return permanentErr{err: fmt.Errorf("daemon speaks protocol v%d; marked sessions need v2", wc.Version())}
-	}
-	next := s.nextIdx.Load()
-	var offset uint64
-	if !s.opts.Marked && next >= s.baseIdx {
-		// v1 compatibility hint only (v2+ servers trust Floor); computed
-		// through the elastic anchor so it degrades to the fixed-length
-		// arithmetic on never-resized sessions.
-		if base := s.obsBase + (next-s.baseIdx)*s.curLen; s.replayBase > base {
-			offset = s.replayBase - base
-		}
-	}
-	r := wire.Resume{SessionID: s.ack.SessionID, Intervals: next, Offset: offset, Floor: s.replayBase}
-	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r, wc.Version())); err != nil {
+	r := wire.Resume{SessionID: s.ack.SessionID, Intervals: s.nextIdx.Load(), Floor: s.replayBase}
+	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
 		conn.Close()
 		return err
 	}
@@ -786,7 +768,7 @@ func (s *Session) resumeOnce() error {
 		conn.Close()
 		return permanentErr{err: fmt.Errorf("%w: expected resume-ack, got frame type %d", wire.ErrProtocol, typ)}
 	}
-	ack, err := wire.DecodeResumeAck(payload, wc.Version())
+	ack, err := wire.DecodeResumeAck(payload)
 	if err != nil {
 		conn.Close()
 		return err
@@ -797,7 +779,7 @@ func (s *Session) resumeOnce() error {
 			ack.StreamPos, s.replayBase, s.sentPos)}
 	}
 	s.lastShed.Store(ack.Shed)
-	if !s.opts.Marked && wc.Version() >= 3 && ack.IntervalLength > 0 {
+	if !s.opts.Marked && ack.IntervalLength > 0 {
 		// The ack re-anchors the prune-floor arithmetic at the daemon's
 		// current geometry: interval ack.Intervals begins at observed
 		// position StreamPos − Shed − Offset, with IntervalLength events
@@ -1057,7 +1039,7 @@ func (s *Session) Close() error {
 // Run streams all of src through the session and invokes fn — when non-nil
 // — for each complete interval profile, in interval order, then drains the
 // session. The final partial interval is discarded, mirroring
-// hwprof.RunParallel. It returns the number of complete intervals
+// hwprof.Profile. It returns the number of complete intervals
 // delivered and the first error among the source, the stream and the
 // daemon. fn runs on a separate goroutine from the source reads, but its
 // calls are sequential. Run consumes the session: after it returns the

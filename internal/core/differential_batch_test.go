@@ -1,11 +1,10 @@
 package core
 
-// Differential coverage for the staged/banked batch pipelines beyond the
-// aligned, power-of-two batches of differential_test.go: odd and prime
-// batch lengths (windows that never line up with stagedWindow or the
-// banked window), single-event batches, streams long enough to wrap the
-// counter set's flush epoch tag, and geometries deep enough to engage the
-// bank-bucketed sweep for real (multiple banks).
+// Differential coverage for the staged batch pipeline beyond the aligned,
+// power-of-two batches of differential_test.go: odd and prime batch
+// lengths (windows that never line up with stagedWindow), single-event
+// batches, streams long enough to wrap the counter set's flush epoch tag,
+// and deep counter geometries.
 
 import (
 	"fmt"
@@ -57,37 +56,35 @@ func runDifferentialChunked(t *testing.T, cfg Config, streamSeed uint64, interva
 }
 
 // TestDifferentialBatchLengths runs odd and prime batch lengths — none a
-// multiple or divisor of the staged or banked window — through the C0 and
-// C1 pipelines, with the banked sweep both at its default crossover (off
-// at this geometry) and forced on.
+// multiple or divisor of the staged window — through the C0 and C1
+// pipelines, and through observeGeneric for counters too wide to pack.
 func TestDifferentialBatchLengths(t *testing.T) {
 	primes := []int{1, 2, 3, 5, 7, 13, 127, 251, 509, 513}
 	cases := []struct {
 		name   string
 		tables int
 		c1     bool
-		banked int // BankedSweepMinCounters
+		width  uint
 	}{
-		{"multi4_C1", 4, true, 0},
-		{"multi4_C0", 4, false, 0},
-		{"multi4_C0_banked", 4, false, 1},
-		{"single_C0", 1, false, 0},
-		{"single_C0_banked", 1, false, 1},
+		{"multi4_C1", 4, true, 8},
+		{"multi4_C0", 4, false, 8},
+		{"single_C0", 1, false, 8},
+		{"multi4_C1_wide", 4, true, 32},
+		{"multi4_C0_wide", 4, false, 32},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         2000,
-				ThresholdPercent:       1,
-				TotalEntries:           256,
-				NumTables:              tc.tables,
-				CounterWidth:           8,
-				ConservativeUpdate:     tc.c1,
-				ResetOnPromote:         true,
-				Retain:                 true,
-				BankedSweepMinCounters: tc.banked,
-				Seed:                   0x5EED,
+				IntervalLength:     2000,
+				ThresholdPercent:   1,
+				TotalEntries:       256,
+				NumTables:          tc.tables,
+				CounterWidth:       tc.width,
+				ConservativeUpdate: tc.c1,
+				ResetOnPromote:     true,
+				Retain:             true,
+				Seed:               0x5EED,
 			}
 			runDifferentialChunked(t, cfg, 0xFACE, 4, primes)
 		})
@@ -98,21 +95,24 @@ func TestDifferentialBatchLengths(t *testing.T) {
 // the degenerate window where staging overhead dominates and every
 // promotion is a window boundary.
 func TestDifferentialSingleEventBatches(t *testing.T) {
-	for _, banked := range []int{0, 1} {
-		banked := banked
-		t.Run(fmt.Sprintf("banked=%d", banked), func(t *testing.T) {
+	for _, c1 := range []bool{true, false} {
+		c1 := c1
+		name := "C0"
+		if c1 {
+			name = "C1"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         1000,
-				ThresholdPercent:       1,
-				TotalEntries:           256,
-				NumTables:              4,
-				CounterWidth:           8,
-				ConservativeUpdate:     banked == 0, // C1 ordered vs C0 banked
-				ResetOnPromote:         true,
-				Retain:                 true,
-				BankedSweepMinCounters: banked,
-				Seed:                   0x51E5,
+				IntervalLength:     1000,
+				ThresholdPercent:   1,
+				TotalEntries:       256,
+				NumTables:          4,
+				CounterWidth:       8,
+				ConservativeUpdate: c1,
+				ResetOnPromote:     true,
+				Retain:             true,
+				Seed:               0x51E5,
 			}
 			runDifferentialChunked(t, cfg, 0x0DD1, 3, []int{1})
 		})
@@ -126,36 +126,35 @@ func TestDifferentialSingleEventBatches(t *testing.T) {
 // tag surviving the wrap shows up as a profile divergence.
 func TestDifferentialFlushGenerationWrap(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		c1     bool
-		banked int
+		name string
+		c1   bool
 	}{
-		{"C1_staged", true, 0},
-		{"C0_banked", false, 1},
+		{"C1_staged", true},
+		{"C0_staged", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         96,
-				ThresholdPercent:       5,
-				TotalEntries:           256,
-				NumTables:              4,
-				CounterWidth:           24, // 8 tag bits: epoch wraps at flush 255
-				ConservativeUpdate:     tc.c1,
-				ResetOnPromote:         true,
-				Retain:                 true,
-				BankedSweepMinCounters: tc.banked,
-				Seed:                   0xF1A5,
+				IntervalLength:     96,
+				ThresholdPercent:   5,
+				TotalEntries:       256,
+				NumTables:          4,
+				CounterWidth:       24, // 8 tag bits: epoch wraps at flush 255
+				ConservativeUpdate: tc.c1,
+				ResetOnPromote:     true,
+				Retain:             true,
+				Seed:               0xF1A5,
 			}
 			runDifferentialChunked(t, cfg, 0x3A9, 300, []int{31, 17, 7})
 		})
 	}
 }
 
-// TestDifferentialBankedMultiBank engages the banked sweep across several
-// real banks (4×8192 = 32768 counters = 8 banks of 4096) for every policy
-// combination; C1 and NoShield masks fall back to the ordered pipelines,
-// which keeps the dispatch itself under differential test.
+// TestDifferentialBankedMultiBank runs every policy combination over
+// 4×8192 = 32768 counters, the multi-bank geometry the deleted
+// bank-bucketed sweep was proved exact on (eight 16 KB banks). The staged
+// pipeline now runs it for the shielded masks and observeGeneric for the
+// NoShield ones, which keeps the dispatch itself under differential test.
 func TestDifferentialBankedMultiBank(t *testing.T) {
 	const intervalLen = 2000
 	for mask := 0; mask < 16; mask++ {
@@ -164,45 +163,35 @@ func TestDifferentialBankedMultiBank(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         intervalLen,
-				ThresholdPercent:       1,
-				TotalEntries:           32768,
-				NumTables:              4,
-				CounterWidth:           8,
-				ConservativeUpdate:     mask&1 != 0,
-				ResetOnPromote:         mask&2 != 0,
-				Retain:                 mask&4 != 0,
-				NoShield:               mask&8 != 0,
-				BankedSweepMinCounters: 1,
-				Seed:                   0xBA12 + uint64(mask),
+				IntervalLength:     intervalLen,
+				ThresholdPercent:   1,
+				TotalEntries:       32768,
+				NumTables:          4,
+				CounterWidth:       8,
+				ConservativeUpdate: mask&1 != 0,
+				ResetOnPromote:     mask&2 != 0,
+				Retain:             mask&4 != 0,
+				NoShield:           mask&8 != 0,
+				Seed:               0xBA12 + uint64(mask),
 			}
 			runDifferentialChunked(t, cfg, 0xBA2E^uint64(mask), 3, []int{509, 513, 127})
 		})
 	}
 }
 
-// TestDifferentialBankedDeepGeometry runs the crossover dispatch for
-// real: 4×32768 = 128Ki counters with the knob at exactly that size, so
-// the production `len(words) >= crossover` comparison (not a test-only
-// force) engages the sweep over 32 banks.
+// TestDifferentialBankedDeepGeometry runs the staged C0 pipeline over
+// 4×32768 = 128Ki counters, the deep geometry (32 banks of 16 KB) where
+// the deleted bank-bucketed sweep was measured against the ordered loop.
 func TestDifferentialBankedDeepGeometry(t *testing.T) {
 	cfg := Config{
-		IntervalLength:         4000,
-		ThresholdPercent:       1,
-		TotalEntries:           1 << 17,
-		NumTables:              4,
-		CounterWidth:           8,
-		ResetOnPromote:         true,
-		Retain:                 true,
-		BankedSweepMinCounters: 1 << 17,
-		Seed:                   0xDEE9,
-	}
-	m, err := NewMultiHash(cfg)
-	if err != nil {
-		t.Fatalf("NewMultiHash: %v", err)
-	}
-	if !m.bankedEligible() {
-		t.Fatalf("4×32768 with crossover at 1<<17 should be banked-eligible")
+		IntervalLength:   4000,
+		ThresholdPercent: 1,
+		TotalEntries:     1 << 17,
+		NumTables:        4,
+		CounterWidth:     8,
+		ResetOnPromote:   true,
+		Retain:           true,
+		Seed:             0xDEE9,
 	}
 	runDifferentialChunked(t, cfg, 0xDEE9, 3, []int{2048, 251, 4000})
 }
@@ -214,15 +203,14 @@ func TestDifferentialBankedDeepGeometry(t *testing.T) {
 // thinks of as one batch sequence.
 func TestDifferentialBatchSpanningFlush(t *testing.T) {
 	cfg := Config{
-		IntervalLength:         768, // 1.5 × DefaultBatchSize
-		ThresholdPercent:       2,
-		TotalEntries:           256,
-		NumTables:              4,
-		CounterWidth:           16,
-		ConservativeUpdate:     true,
-		Retain:                 true,
-		BankedSweepMinCounters: -1,
-		Seed:                   0x9A7,
+		IntervalLength:     768, // 1.5 × DefaultBatchSize
+		ThresholdPercent:   2,
+		TotalEntries:       256,
+		NumTables:          4,
+		CounterWidth:       16,
+		ConservativeUpdate: true,
+		Retain:             true,
+		Seed:               0x9A7,
 	}
 	opt, err := NewMultiHash(cfg)
 	if err != nil {

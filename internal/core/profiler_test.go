@@ -236,6 +236,31 @@ func TestNoRetainRequiresRewarm(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesRetainedZeroCounts pins the snapshot contract
+// (DESIGN.md §5): a snapshot is the accumulator's contents, and under P1
+// a retained entry that does not recur is reported with count 0 in the
+// next interval. Without retaining it is absent.
+func TestSnapshotCarriesRetainedZeroCounts(t *testing.T) {
+	for _, retain := range []bool{true, false} {
+		cfg := BestMultiHash(validConfig())
+		cfg.Retain = retain
+		m := newMH(t, cfg)
+		hot := event.Tuple{A: 7, B: 7}
+		for i := 0; i < 500; i++ {
+			m.Observe(hot)
+		}
+		if got := m.EndInterval()[hot]; got < cfg.ThresholdCount() {
+			t.Fatalf("retain=%v: interval 0 count %d, want >= threshold %d", retain, got, cfg.ThresholdCount())
+		}
+		m.Observe(event.Tuple{A: 8, B: 8})
+		got, present := m.EndInterval()[hot]
+		if present != retain || got != 0 {
+			t.Fatalf("retain=%v: interval 1 reports (count %d, present %v), want present=%v with count 0",
+				retain, got, present, retain)
+		}
+	}
+}
+
 // TestConservativeUpdateOverestimateInvariant checks the count-min-with-
 // conservative-update invariant the paper's C1 relies on: with no
 // promotion, no reset and no shielding interference, every tuple's minimum

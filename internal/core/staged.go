@@ -30,9 +30,7 @@ package core
 //
 // Conservative update (C1) is inherently order-sensitive across events
 // that share a counter (see TestC1OrderSensitivity and DESIGN.md §14), so
-// the C1 commit stays in event order. The plain-update (C0) path is
-// additionally eligible for the bank-bucketed two-sweep pipeline in
-// banked.go when the counter set outgrows the cache.
+// every commit loop walks the window in event order.
 
 import (
 	"hwprof/internal/counter"
@@ -54,19 +52,11 @@ const (
 )
 
 // stagedScratch is the recycled per-profiler scratch of the staged
-// pipeline. Everything is sized at construction (and by PrewarmBatch for
-// the banked window), so the steady-state pipeline never allocates.
+// pipeline. It is sized to one window at construction, so the
+// steady-state pipeline never allocates.
 type stagedScratch struct {
 	packed []uint64 // stage: fused index word per window event
 	slots  []uint32 // stage: accumulator slot | stagedResident, or 0
-
-	// Banked sweep scratch, allocated only when the counter geometry can
-	// engage the banked path (see banked.go).
-	pairs     []uint32 // scattered flat counter offsets, bank-bucketed
-	pairEv    []uint32 // owning window-event index per scattered pair
-	pairPre   []uint32 // pre-update counter word per pair, for rollback
-	bankStart []int32  // per-bank segment cursors / prefix sums
-	mins      []uint32 // per-event post-update minimum (sweep result)
 }
 
 // stage fills the scratch with the window's residency probes and fused

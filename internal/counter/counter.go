@@ -171,8 +171,7 @@ func (s *Set) ResetAt(j int) {
 // mask through the pointer receiver on every call — and the compiler must
 // assume any counter store may alias them — so an n-table hot loop pays
 // those loads up to 3n times per event. A Hot value copies the invariants
-// into locals once per batch; its methods are leaf functions over plain
-// fields that inline across packages and keep everything in registers.
+// into locals once per batch, so the loops keep everything in registers.
 //
 // A Hot view is valid until the next Flush (the epoch tag it carries goes
 // stale). The batched observation loops take a fresh view per batch, and
@@ -203,55 +202,6 @@ func (s *Set) Hot() (Hot, bool) {
 		Max:   uint32(s.max),
 	}, true
 }
-
-// Get returns the value of the counter at flat offset j.
-func (h Hot) Get(j int) uint32 {
-	w := h.Words[j]
-	if w&^h.CMask != h.ETag {
-		return 0
-	}
-	return w & h.CMask
-}
-
-// Put stores count c at flat offset j under the current generation.
-// c must not exceed Max.
-func (h Hot) Put(j int, c uint32) { h.Words[j] = h.ETag | c }
-
-// Inc increments the counter at flat offset j, saturating at Max, and
-// returns the new value.
-func (h Hot) Inc(j int) uint32 {
-	c := h.Get(j)
-	if c < h.Max {
-		c++
-	}
-	h.Words[j] = h.ETag | c
-	return c
-}
-
-// Bank geometry for the bucketed counter sweeps: the flat counter array is
-// divided into contiguous banks of 2^BankShift counters, sized so one
-// bank's words stay L1-resident while a sweep walks it — the software
-// analog of the banked counter SRAMs that let the paper's hardware sustain
-// one update per cycle without structural hazards. Staged indexes are
-// counting-sorted by BankOf and each bank is swept in order, so counter
-// traffic within a sweep is confined to one cache-sized window at a time.
-const (
-	// BankShift is log2 of the bank size in counters: 4096 counters of 4
-	// packed bytes = 16 KB per bank.
-	BankShift = 12
-	// BankCounters is the number of counters per bank.
-	BankCounters = 1 << BankShift
-)
-
-// NumBanks returns how many banks the set's flat array spans (the last one
-// possibly partial). Small sets are a single bank.
-func (s *Set) NumBanks() int {
-	n := s.tables * s.size
-	return (n + BankCounters - 1) >> BankShift
-}
-
-// BankOf returns the bank of flat offset j.
-func BankOf(j uint32) uint32 { return j >> BankShift }
 
 // Get returns the value of bank t's counter i.
 func (s *Set) Get(t int, i uint32) uint64 { return s.GetAt(t*s.size + int(i)) }

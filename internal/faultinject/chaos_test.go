@@ -67,9 +67,9 @@ func TestChaosSourceErrorSurfaces(t *testing.T) {
 		After: 2*cfg.IntervalLength + cfg.IntervalLength/3, // fails inside interval 2
 	}
 	calls := 0
-	n, err := hwprof.RunParallel(src, cfg,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 4, NoPerfect: true},
-		func(int, map[hwprof.Tuple]uint64, map[hwprof.Tuple]uint64) { calls++ })
+	n, err := hwprof.Profile(context.Background(), src,
+		hwprof.WithConfig(cfg), hwprof.WithShards(4), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(int, map[hwprof.Tuple]uint64, map[hwprof.Tuple]uint64) { calls++ }))
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want the injected fault", err)
 	}
@@ -94,8 +94,8 @@ func TestChaosWorkerPanicSurfaces(t *testing.T) {
 	}
 	defer sp.Close()
 
-	n, err := hwprof.RunWith(stream(t, 20*cfg.IntervalLength), sp,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+	n, err := hwprof.Profile(context.Background(), stream(t, 20*cfg.IntervalLength), hwprof.WithEngine(sp),
+		hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 	if err == nil || !strings.Contains(err.Error(), "worker panic") {
 		t.Fatalf("err = %v, want a contained worker panic", err)
 	}
@@ -125,7 +125,8 @@ func TestChaosWorkerPanicLateDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = hwprof.RunWith(src, sp, hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+	_, err = hwprof.Profile(context.Background(), src, hwprof.WithEngine(sp),
+		hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 	if err == nil {
 		// The panic may land after the last batch; Drain must still report it.
 		_, err = sp.Drain()
@@ -149,8 +150,7 @@ func TestChaosCancellationMidInterval(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := hwprof.RunParallelContext(ctx, src, cfg,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 4, NoPerfect: true}, nil)
+	_, err := hwprof.Profile(ctx, src, hwprof.WithConfig(cfg), hwprof.WithShards(4), hwprof.WithoutOracle())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -176,7 +176,8 @@ func TestChaosTruncatedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = hwprof.RunWith(r, p, hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+	_, err = hwprof.Profile(context.Background(), r, hwprof.WithEngine(p),
+		hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 	if !errors.Is(err, hwprof.ErrTraceTruncated) {
 		t.Fatalf("err = %v, want ErrTraceTruncated", err)
 	}
@@ -199,7 +200,8 @@ func TestChaosTraceIOError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = hwprof.RunWith(r, p, hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+	_, err = hwprof.Profile(context.Background(), r, hwprof.WithEngine(p),
+		hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want the injected I/O fault", err)
 	}
@@ -220,8 +222,8 @@ func TestChaosStragglerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := hwprof.RunWith(stream(t, 3*cfg.IntervalLength), sp,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+	n, err := hwprof.Profile(context.Background(), stream(t, 3*cfg.IntervalLength), hwprof.WithEngine(sp),
+		hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 	if err != nil || n != 3 {
 		t.Fatalf("straggler run: intervals = %d, err = %v", n, err)
 	}
@@ -246,7 +248,8 @@ func TestChaosDrainAfterSourceFailure(t *testing.T) {
 		Inner: stream(t, 10*cfg.IntervalLength),
 		After: cfg.IntervalLength + cfg.IntervalLength/2,
 	}
-	n, err := hwprof.RunWith(src, sp, hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+	n, err := hwprof.Profile(context.Background(), src, hwprof.WithEngine(sp),
+		hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 	if !errors.Is(err, faultinject.ErrInjected) || n != 1 {
 		t.Fatalf("run = %d intervals, err = %v; want 1 interval and the injected fault", n, err)
 	}

@@ -96,7 +96,7 @@ func (s *Server) newElastic(sess *session) *adaptive.Elastic {
 // uses — re-price, fresh engine, durable journal record, client notice — so
 // an operator resize carries the identical bit-identity guarantee.
 // Asynchronous: the client observes the result as a NoticeResize; a
-// geometry the worker cannot apply (invalid config, pre-v3 attachment) is
+// geometry the worker cannot apply (an invalid config) is
 // logged and dropped. Staging onto a parked session is allowed — it takes
 // effect at the first boundary after resumption.
 func (s *Server) ResizeSession(id, intervalLength uint64, entries, shards int) error {
@@ -124,11 +124,8 @@ func (s *Server) ResizeSession(id, intervalLength uint64, entries, shards int) e
 }
 
 // validGeometry normalizes and validates a staged geometry against the
-// session's fixed configuration. Worker goroutine only (reads s.cfg, s.wc).
+// session's fixed configuration. Worker goroutine only (reads s.cfg).
 func (s *session) validGeometry(g *adaptive.Geometry) (ok bool, why string) {
-	if s.wc.Version() < 3 {
-		return false, "attachment negotiated protocol below v3; resizes cannot be announced"
-	}
 	for g.Shards > 1 && g.TotalEntries%g.Shards != 0 {
 		g.Shards--
 	}

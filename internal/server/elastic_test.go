@@ -308,11 +308,7 @@ func TestElasticResizeCrashRecovery(t *testing.T) {
 		t.Fatalf("killed daemon's Serve: %v", err)
 	}
 
-	restarted, _, done2 := crashServer(t, cfg, addr)
-	recovered, err := restarted.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	restarted, recovered, done2 := restartServer(t, cfg, addr, 0)
 	if recovered != 1 {
 		t.Fatalf("recovered %d sessions, want 1", recovered)
 	}
@@ -482,7 +478,7 @@ func TestTenantRateResumeExemption(t *testing.T) {
 	if err := wc.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1}, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := wc.ReadFrame()
@@ -518,7 +514,7 @@ func TestTenantRateResumeExemption(t *testing.T) {
 	if err := wc2.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc2.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1}, wc2.Version())); err != nil {
+	if err := wc2.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = wc2.ReadFrame()
@@ -548,7 +544,7 @@ func TestTenantRateResumeExemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := wire.Resume{SessionID: ack.SessionID}
-	if err := wc3.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r, wc3.Version())); err != nil {
+	if err := wc3.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = wc3.ReadFrame()

@@ -205,6 +205,9 @@ func TestPublishDrainMidEpochIsPartial(t *testing.T) {
 	if !eps[1].Partial || len(eps[1].Missing) != 1 || !strings.HasPrefix(eps[1].Missing[0], "m1/s") {
 		t.Fatalf("epoch 1 = %+v, want partial naming the departed session", eps[1])
 	}
+	// The counter is bumped by the feed's OnEpoch hook, which runs after
+	// the epoch reaches subscribers.
+	waitFor(t, "the partial epoch to be counted", func() bool { return srv.Metrics().EpochsPartial.Load() >= 1 })
 	if got := srv.Metrics().EpochsPartial.Load(); got != 1 {
 		t.Fatalf("epochs_partial = %d, want 1", got)
 	}
@@ -241,9 +244,9 @@ func TestPublishCleanDrainAtBoundary(t *testing.T) {
 			t.Fatalf("epoch[%d] = %+v, want complete after a boundary drain", i, ep)
 		}
 	}
-	if got := srv.Feed().Members(); got != 0 {
-		t.Fatalf("members = %d after drain, want 0", got)
-	}
+	// The client's Drain returns on the goodbye; the session leaves the
+	// feed when the daemon releases it, just after.
+	waitFor(t, "the drained session to leave the feed", func() bool { return srv.Feed().Members() == 0 })
 }
 
 // TestSubscribeOverWire attaches an agg subscriber to the daemon's wire

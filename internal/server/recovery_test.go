@@ -40,6 +40,31 @@ func (g *gatedSource) Err() error { return g.inner.Err() }
 func crashServer(t *testing.T, cfg server.Config, addr string) (*server.Server, string, chan error) {
 	t.Helper()
 	srv := server.New(cfg)
+	addr, done := serveOn(t, srv, addr)
+	return srv, addr, done
+}
+
+// restartServer brings a crashed daemon back on its address in the order
+// cmd/profiled uses: New, Recover, then — after waiting delay — Listen and
+// Serve. A client reconnecting before Serve is refused at the TCP level
+// and retries; one that reached Serve before Recover would be told its
+// session is unknown, which is terminal.
+func restartServer(t *testing.T, cfg server.Config, addr string, delay time.Duration) (*server.Server, int, chan error) {
+	t.Helper()
+	srv := server.New(cfg)
+	recovered, err := srv.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	time.Sleep(delay)
+	_, done := serveOn(t, srv, addr)
+	return srv, recovered, done
+}
+
+// serveOn listens on addr and runs srv.Serve there, returning the bound
+// address and Serve's exit channel.
+func serveOn(t *testing.T, srv *server.Server, addr string) (string, chan error) {
+	t.Helper()
 	var ln net.Listener
 	var err error
 	// The restarted daemon rebinds the crashed one's exact address so the
@@ -58,14 +83,15 @@ func crashServer(t *testing.T, cfg server.Config, addr string) (*server.Server, 
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	return srv, ln.Addr().String(), done
+	return ln.Addr().String(), done
 }
 
 // runKillCycle streams a workload through a journaled daemon, kills the
 // daemon in-process at roughly killAt events, restarts it on the same
-// address with Recover, and requires the client's transparently resumed
-// run to deliver profiles bit-identical to an uninterrupted local run.
-func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uint64) {
+// address with Recover (serving only after restartDelay), and requires the
+// client's transparently resumed run to deliver profiles bit-identical to
+// an uninterrupted local run.
+func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uint64, restartDelay time.Duration) {
 	t.Helper()
 	const intervals = 5
 	const batchSize = 100
@@ -96,6 +122,7 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 		Reconnect:   true,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
+		MaxAttempts: 100, // outlasts restartDelay
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +149,7 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 		t.Error("journal_bytes = 0 on the crashed daemon")
 	}
 
-	srv2, _, done2 := crashServer(t, cfg, addr)
-	recovered, err := srv2.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	srv2, recovered, done2 := restartServer(t, cfg, addr, restartDelay)
 	if recovered != 1 {
 		t.Fatalf("recovered %d sessions, want 1", recovered)
 	}
@@ -177,10 +200,20 @@ func TestKillRecoverResume(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			killAt := 500 + uint64(rng.Int63n(4000))
 			t.Run(fmt.Sprintf("sync=%v/killAt=%d", sync, killAt), func(t *testing.T) {
-				runKillCycle(t, sync, 1000+killAt, killAt)
+				runKillCycle(t, sync, 1000+killAt, killAt, 0)
 			})
 		}
 	}
+}
+
+// TestKillRecoverSlowRestart pins the restart order: the restarted daemon
+// recovers its journals and then stays off the network for 300 ms, during
+// which the client's reconnects are refused and retried. Once it serves,
+// the session resumes bit-identically. A harness that served before
+// recovering would answer those reconnects with an unknown-session
+// refusal instead, which ends the run.
+func TestKillRecoverSlowRestart(t *testing.T) {
+	runKillCycle(t, journal.SyncBatch, 4242, 2300, 300*time.Millisecond)
 }
 
 // TestRecoverAdmissionRefused restarts a crashed daemon with a budget too

@@ -73,7 +73,7 @@ func resumeRun(t *testing.T, addr string, seed uint64, intervals int, plan []fun
 // TestResumeAfterHangupMidStream kills the session's connection mid-frame
 // at varied byte offsets — including several in a row — and requires the
 // transparently resumed run to deliver profiles bit-identical to an
-// uninterrupted local RunParallel.
+// uninterrupted local Profile.
 func TestResumeAfterHangupMidStream(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
 
@@ -157,8 +157,8 @@ func TestResumeUnknownSession(t *testing.T) {
 	if err := wc.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	r := wire.Resume{SessionID: 0xdeadbeef, Intervals: 2, Offset: 17}
-	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r, wc.Version())); err != nil {
+	r := wire.Resume{SessionID: 0xdeadbeef, Intervals: 2}
+	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := wc.ReadFrame()
@@ -210,7 +210,7 @@ func TestTombstoneExpiredResumeRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := wire.Resume{SessionID: 1} // first session the daemon issued
-	if err := wc2.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r, wc2.Version())); err != nil {
+	if err := wc2.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := wc2.ReadFrame()

@@ -12,7 +12,7 @@
 // — and a bounded queue of decoded batches between them. The worker places
 // interval boundaries by event count exactly where the local batched
 // driver (core.RunBatchedContext) would, so a remote session's profiles
-// are bit-identical to a local RunParallel over the same stream,
+// are bit-identical to a local Profile over the same stream,
 // configuration and seed.
 //
 // # Admission
@@ -225,10 +225,10 @@ type Config struct {
 	TenantBudget float64
 
 	// Elastic enables the per-session online controller: sessions that
-	// negotiated protocol v3 (and are not marked — their clients own the
-	// boundaries) are resized live along the degradation ladder when
-	// queue pressure or shedding persists, and along the §5.6.1 accuracy
-	// axis when it does not. Requires resume (rung 4 parks the session).
+	// are not marked (their clients own the boundaries) are resized live
+	// along the degradation ladder when queue pressure or shedding
+	// persists, and along the §5.6.1 accuracy axis when it does not.
+	// Requires resume (rung 4 parks the session).
 	Elastic bool
 
 	// ElasticEngage, ElasticRelease and ElasticSettle override the
@@ -667,10 +667,6 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) serveSubscriber(conn net.Conn, wc *wire.Conn, payload []byte) {
 	if s.feed == nil {
 		s.refuseConn(conn, wc, wire.CodeUnsupported, "epoch publishing disabled on this server")
-		return
-	}
-	if wc.Version() < 2 {
-		s.refuseConn(conn, wc, wire.CodeUnsupported, "epoch subscription requires protocol v2")
 		return
 	}
 	if s.draining.Load() {

@@ -66,9 +66,9 @@ func localProfiles(t *testing.T, cfg core.Config, shards int, workload string, s
 		t.Fatal(err)
 	}
 	var got []map[event.Tuple]uint64
-	rc := hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: shards, NoPerfect: true}
-	n, err := hwprof.RunParallel(hwprof.Limit(src, cfg.IntervalLength*uint64(intervals)), cfg, rc,
-		func(_ int, _, hw map[event.Tuple]uint64) { got = append(got, hw) })
+	n, err := hwprof.Profile(context.Background(), hwprof.Limit(src, cfg.IntervalLength*uint64(intervals)),
+		hwprof.WithConfig(cfg), hwprof.WithShards(shards), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, hw map[event.Tuple]uint64) { got = append(got, hw) }))
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -130,7 +130,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestRemoteMatchesLocal is the subsystem's core guarantee: N concurrent
 // clients stream synthetic workloads to one daemon and every returned
-// profile is bit-identical to a local RunParallel over the same seed,
+// profile is bit-identical to a local Profile over the same seed,
 // configuration and shard count.
 func TestRemoteMatchesLocal(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
@@ -181,7 +181,7 @@ func rawSession(t *testing.T, addr string, cfg core.Config) (net.Conn, *wire.Con
 	if err := wc.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: cfg, Shards: 1}, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: cfg, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := wc.ReadFrame()
@@ -390,7 +390,7 @@ func TestInvalidConfigRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := wire.Hello{Config: core.Config{}} // zero config cannot validate
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, bad, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, bad)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := wc.ReadFrame()

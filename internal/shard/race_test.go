@@ -67,20 +67,42 @@ func TestConcurrentProducersAndIntervals(t *testing.T) {
 	}
 
 	// Concurrent interval boundaries: each must return a self-consistent
-	// (possibly empty) snapshot without panicking or deadlocking.
-	for i := 0; i < 25; i++ {
+	// (possibly empty) snapshot without panicking or deadlocking. A tuple
+	// may be reported with count 0 only as a P1-retained entry that did
+	// not recur (DESIGN.md §5, snapshot contract): it must then have been
+	// in the previous interval's profile at or above its shard's
+	// threshold count.
+	var prev map[event.Tuple]uint64
+	endInterval := func(i int) {
 		profile := engine.EndInterval()
 		for tp, c := range profile {
-			if c == 0 {
-				t.Errorf("interval %d: tuple %v reported with zero count", i, tp)
+			if c != 0 {
+				continue
+			}
+			thresh := engine.Config().ShardConfig(engine.ShardOf(tp)).ThresholdCount()
+			if was, ok := prev[tp]; !ok || was < thresh {
+				t.Errorf("interval %d: tuple %v reported with zero count but not retained (previous count %d, present %v, threshold %d)",
+					i, tp, was, ok, thresh)
 			}
 		}
+		prev = profile
+	}
+	for i := 0; i < 25; i++ {
+		endInterval(i)
 		time.Sleep(time.Millisecond)
 	}
 
 	close(stop)
 	wg.Wait()
-	engine.EndInterval() // drain whatever the producers left behind
+	// Three quiet boundaries: the first closes whatever the producers left
+	// behind, the second reports every retained entry at count 0, and the
+	// third must report none of them again.
+	for i := 25; i < 28; i++ {
+		endInterval(i)
+	}
+	if len(prev) != 0 {
+		t.Errorf("after two empty intervals the profile still holds %d entries", len(prev))
+	}
 }
 
 // TestCloseLeaksNoGoroutines builds and tears down engines and checks the

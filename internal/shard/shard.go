@@ -252,9 +252,6 @@ func New(cfg Config) (*Profiler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		// Workers receive batches of exactly BatchSize events; size the
-		// batch pipeline's scratch for them now, not on the first batch.
-		mh.PrewarmBatch(cfg.BatchSize)
 		p.workers[i] = &worker{idx: i, mh: mh, ch: make(chan request, cfg.QueueDepth)}
 		p.pending[i] = p.pool.Get().(*[]event.Tuple)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hwprof/internal/client"
+	"hwprof/internal/core"
 )
 
 // Option configures the context-first entry points Profile, Connect and
@@ -16,7 +17,8 @@ type Option func(*options)
 
 // options is the merged knob set the unified entry points run on.
 type options struct {
-	run        RunConfig
+	run        core.RunConfig
+	shards     int
 	cfg        *Config
 	eng        StreamProfiler
 	onInterval IntervalFunc
@@ -24,11 +26,6 @@ type options struct {
 	remote       client.Options
 	reconnectSet bool // an option stated reconnect explicitly
 	start        uint64
-
-	// legacy marks options built by a deprecated wrapper: the knobs are
-	// passed through verbatim, with none of the new-surface defaulting,
-	// so the old entry points keep their exact semantics.
-	legacy bool
 }
 
 func buildOptions(opts []Option) options {
@@ -55,7 +52,7 @@ func WithIntervalLength(n uint64) Option {
 // WithShards sets the shard count: locally the engine Profile builds,
 // remotely the engine the daemon builds for the session.
 func WithShards(n int) Option {
-	return func(o *options) { o.run.Shards = n; o.remote.Shards = n }
+	return func(o *options) { o.shards = n; o.remote.Shards = n }
 }
 
 // WithBatchSize sets the batch size of the source→engine hot loop, or of
@@ -145,25 +142,4 @@ func WithMarks() Option {
 // it are never delivered.
 func WithStartEpoch(e uint64) Option {
 	return func(o *options) { o.start = e }
-}
-
-// withRunConfig passes a legacy RunConfig through verbatim (deprecated
-// wrappers only).
-func withRunConfig(rc RunConfig) Option {
-	return func(o *options) {
-		o.run = rc
-		o.remote.Shards = rc.Shards
-		o.remote.BatchSize = rc.BatchSize
-		o.legacy = true
-	}
-}
-
-// withClientOptions passes legacy RemoteOptions through verbatim
-// (deprecated wrappers only).
-func withClientOptions(co client.Options) Option {
-	return func(o *options) {
-		o.remote = co
-		o.reconnectSet = true
-		o.legacy = true
-	}
 }

@@ -21,14 +21,6 @@ type RemoteSession = client.Session
 // the cumulative shed count under the daemon's shed backpressure policy.
 type RemoteProfile = client.Profile
 
-// RemoteOptions tunes a remote session: shard count, batch size, dial
-// timeout, reconnect/backoff policy, wire deadlines.
-//
-// Deprecated: new code states these knobs as Connect options (WithShards,
-// WithBatchSize, WithBackoff, WithoutReconnect, ...); RemoteOptions remains
-// for DialWith.
-type RemoteOptions = client.Options
-
 // RemoteNotice is one elastic-serving announcement from a daemon — a live
 // resize, a degradation-ladder move, or an imminent park — as surfaced by
 // RemoteSession.Notices and RemoteSession.NoticeTrail. It is an absolute
@@ -88,27 +80,4 @@ func Connect(ctx context.Context, addr string, opts ...Option) (*RemoteSession, 
 		}
 	}
 	return client.Dial(addr, cfg, co)
-}
-
-// Dial connects to a profiled daemon and opens a session running cfg on an
-// engine of rc.Shards shards, with automatic reconnect enabled.
-//
-// Deprecated: use Connect — Dial is a thin wrapper over it and keeps its
-// exact semantics:
-//
-//	Connect(ctx, addr, WithConfig(cfg), WithShards(n), WithBatchSize(b))
-func Dial(addr string, cfg Config, rc RunConfig) (*RemoteSession, error) {
-	return Connect(context.Background(), addr,
-		WithConfig(cfg), withRunConfig(rc), WithReconnect())
-}
-
-// DialWith opens a remote session with full control over the session
-// options.
-//
-// Deprecated: use Connect — every RemoteOptions knob has a Connect option
-// (note Connect defaults reconnect ON where RemoteOptions defaults it
-// off). DialWith is a thin wrapper and keeps its exact semantics.
-func DialWith(addr string, cfg Config, opts RemoteOptions) (*RemoteSession, error) {
-	return Connect(context.Background(), addr,
-		WithConfig(cfg), withClientOptions(opts))
 }
