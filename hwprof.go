@@ -110,8 +110,10 @@ type StreamProfiler = core.Profiler
 
 // ShardedProfiler is the sharded concurrent engine: N MultiHash shards fed
 // by per-shard goroutines behind the same Observe / ObserveBatch /
-// EndInterval surface as Profiler. See internal/shard for the equivalence
-// argument.
+// EndInterval surface as Profiler. At one shard there is nothing to route
+// or overlap, so the engine runs its MultiHash inline on the caller's
+// goroutine and starts no goroutine. See internal/shard for the
+// equivalence argument.
 //
 // Shut it down with Close (graceful: queued batches drain first) or Drain
 // (same, but the unfinished interval's profile is returned). A panic in a
@@ -197,10 +199,12 @@ type IntervalFunc = core.IntervalFunc
 //
 // By default Profile builds its own engine — BestMultiHash over the
 // paper's short-interval regime, or the configuration given WithConfig,
-// sharded per WithShards — and shuts it down gracefully before returning
-// (queued batches drain first). With WithEngine it runs the caller's
-// engine instead — any StreamProfiler — and leaves it open, so the caller
-// can Drain the partial interval or keep using it.
+// sharded per WithShards — and shuts it down gracefully before returning.
+// At the default one shard the engine runs inline on the calling
+// goroutine, so nothing is queued; with WithShards(n ≥ 2) queued batches
+// drain first. With WithEngine it runs the caller's engine instead — any
+// StreamProfiler — and leaves it open, so the caller can Drain the partial
+// interval or keep using it.
 //
 // The returned error reflects the stream and the engine, not just the
 // configuration: a source that fails mid-stream (src.Err() != nil, e.g. a

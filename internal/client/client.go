@@ -240,11 +240,11 @@ type Session struct {
 	wc         *wire.Conn
 	gen        uint64 // attachment generation; bumped per successful resume
 	replayOn   bool   // Reconnect requested and daemon advertises resume
-	replay     []event.Tuple
-	replayBase uint64 // absolute stream position of replay[0]
+	replay     backlog[event.Tuple]
+	replayBase uint64 // absolute stream position of replay.live()[0]
 	sentPos    uint64 // absolute stream position after everything flushed
 	markIdx    uint64 // next interval-mark index (marked sessions)
-	marks      []markRec
+	marks      backlog[markRec]
 	drainSent  bool
 	goodbye    bool
 	permErr    error // terminal session error
@@ -277,6 +277,32 @@ type Session struct {
 type markRec struct {
 	index uint64
 	pos   uint64
+}
+
+// backlog is a FIFO of unacknowledged items: pushed at the tail as they
+// are sent, dropped from the head as profiles acknowledge them. Dropping
+// advances a head offset and compacts only once the dead prefix is at
+// least as long as the live part, so each item is copied O(1) times
+// amortized however long the backlog grows, and the backing array is
+// reused rather than regrown.
+type backlog[T any] struct {
+	buf  []T
+	head int // buf[:head] is dead
+}
+
+// live returns the unacknowledged items, oldest first.
+func (b *backlog[T]) live() []T { return b.buf[b.head:] }
+
+// push appends items at the tail.
+func (b *backlog[T]) push(items ...T) { b.buf = append(b.buf, items...) }
+
+// drop removes the n oldest live items.
+func (b *backlog[T]) drop(n int) {
+	b.head += n
+	if live := len(b.buf) - b.head; b.head >= live {
+		b.buf = b.buf[:copy(b.buf, b.buf[b.head:])]
+		b.head = 0
+	}
 }
 
 // Dial connects to a daemon at addr (TCP host:port), opens a session for
@@ -617,14 +643,8 @@ func (s *Session) applyNotice(n wire.Notice) {
 	}
 }
 
-// prune drops replay-buffered events below floor, an absolute stream
-// position the daemon has provably consumed.
-func (s *Session) prune(floor uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked(floor)
-}
-
+// pruneLocked drops replay-buffered events below floor, an absolute
+// stream position the daemon has provably consumed. Callers hold mu.
 func (s *Session) pruneLocked(floor uint64) {
 	if !s.replayOn {
 		return
@@ -633,8 +653,7 @@ func (s *Session) pruneLocked(floor uint64) {
 		floor = s.sentPos
 	}
 	if floor > s.replayBase {
-		drop := int(floor - s.replayBase)
-		s.replay = append(s.replay[:0], s.replay[drop:]...)
+		s.replay.drop(int(floor - s.replayBase))
 		s.replayBase = floor
 	}
 }
@@ -647,16 +666,14 @@ func (s *Session) pruneMarked(idx uint64) {
 	if !s.replayOn {
 		return
 	}
-	var floor uint64
-	found := false
+	marks := s.marks.live()
 	drop := 0
-	for drop < len(s.marks) && s.marks[drop].index <= idx {
-		floor = s.marks[drop].pos
-		found = true
+	for drop < len(marks) && marks[drop].index <= idx {
 		drop++
 	}
-	if found {
-		s.marks = append(s.marks[:0], s.marks[drop:]...)
+	if drop > 0 {
+		floor := marks[drop-1].pos
+		s.marks.drop(drop)
 		s.pruneLocked(floor)
 	}
 }
@@ -810,12 +827,12 @@ func (s *Session) resumeOnce() error {
 	// Marks the ack's interval count proves consumed are skipped; the rest
 	// all sit at positions ≥ the acked stream position (frames are FIFO:
 	// the daemon cannot have consumed events past a mark without the mark).
-	marks := s.marks
+	marks := s.marks.live()
 	for len(marks) > 0 && marks[0].index < ack.Intervals {
 		marks = marks[1:]
 	}
 	pos := ack.StreamPos
-	tail := s.replay[pos-s.replayBase:]
+	tail := s.replay.live()[pos-s.replayBase:]
 	for {
 		for len(marks) > 0 && marks[0].pos <= pos {
 			if err := sendMark(marks[0].index); err != nil {
@@ -896,7 +913,7 @@ func (s *Session) Flush() error {
 	}
 	wc, gen := s.wc, s.gen
 	if s.replayOn {
-		s.replay = append(s.replay, s.pending...)
+		s.replay.push(s.pending...)
 		s.sentPos += uint64(len(s.pending))
 	}
 	s.mu.Unlock()
@@ -935,7 +952,7 @@ func (s *Session) Mark() error {
 	idx := s.markIdx
 	s.markIdx++
 	if s.replayOn {
-		s.marks = append(s.marks, markRec{index: idx, pos: s.sentPos})
+		s.marks.push(markRec{index: idx, pos: s.sentPos})
 	}
 	wc, gen := s.wc, s.gen
 	s.mu.Unlock()

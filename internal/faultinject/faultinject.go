@@ -173,7 +173,8 @@ func (f *FailingReader) Read(p []byte) (int, error) {
 
 // PanicWorkerHook returns a shard.Config.WorkerHook that panics exactly
 // once, on the n-th batch (1-based) handled across all shards. The counter
-// is atomic: hooks run concurrently in every shard's worker goroutine.
+// is atomic: hooks run concurrently in every shard's worker goroutine (or,
+// at one shard, on the goroutine calling the engine).
 func PanicWorkerHook(n uint64) func(shard int, batch []event.Tuple) {
 	var count atomic.Uint64
 	return func(shard int, batch []event.Tuple) {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -38,9 +39,20 @@ func checkGoroutines(t *testing.T) {
 // Observe/ObserveBatch while another goroutine cuts interval boundaries —
 // and is meaningful chiefly under -race: every router, channel and pool
 // interaction is exercised across goroutines.
+//
+// It runs at one shard (the inline path, driven on the producers' own
+// goroutines) and at four (the routed worker path).
 func TestConcurrentProducersAndIntervals(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testConcurrentProducersAndIntervals(t, shards)
+		})
+	}
+}
+
+func testConcurrentProducersAndIntervals(t *testing.T, shards int) {
 	checkGoroutines(t)
-	engine := newEngine(t, Config{Core: baseConfig(), NumShards: 4, BatchSize: 32, QueueDepth: 2})
+	engine := newEngine(t, Config{Core: baseConfig(), NumShards: shards, BatchSize: 32, QueueDepth: 2})
 
 	const producers = 4
 	var wg sync.WaitGroup
@@ -195,4 +207,25 @@ func TestCloseDuringProduction(t *testing.T) {
 	if err := engine.Err(); err != nil && !errors.Is(err, ErrClosed) {
 		t.Fatalf("unexpected engine error: %v", err)
 	}
+}
+
+// TestOneShardStartsNoGoroutine: a one-shard engine runs inline, so
+// building, using and closing it never changes the goroutine count.
+func TestOneShardStartsNoGoroutine(t *testing.T) {
+	checkGoroutines(t)
+	before := runtime.NumGoroutine()
+	engine, err := New(Config{Core: baseConfig(), NumShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.ObserveBatch(workload(t, 5_000))
+	// Goroutines left over from earlier tests may still be exiting, so
+	// only a rise counts.
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("one-shard engine runs %d goroutines, want none", got-before)
+	}
+	if len(engine.EndInterval()) == 0 {
+		t.Fatal("empty profile")
+	}
+	engine.Close()
 }

@@ -1,6 +1,9 @@
 // Package shard implements the sharded concurrent profiling engine: N
 // independent MultiHash profilers (shards) fed through per-shard worker
 // goroutines, presenting the same Profiler surface as a single MultiHash.
+// A one-shard engine has nothing to route and nothing to overlap, so it
+// runs its MultiHash inline on the caller's goroutine instead: no worker,
+// no route hash, no batch copy, no barrier.
 //
 // # Why sharding is exact
 //
@@ -73,18 +76,23 @@ type Config struct {
 	NumShards int
 
 	// BatchSize is the length of the per-shard batch buffers; 0 selects
-	// DefaultBatchSize.
+	// DefaultBatchSize. A one-shard engine buffers nothing, so it does not
+	// apply there.
 	BatchSize int
 
 	// QueueDepth is the bounded per-shard channel depth in batches; 0
-	// selects DefaultQueueDepth.
+	// selects DefaultQueueDepth. Like BatchSize, it does not apply at one
+	// shard.
 	QueueDepth int
 
-	// WorkerHook, when non-nil, runs in each shard's worker goroutine
-	// immediately before a batch is observed, with the shard index and the
-	// batch. It exists for fault injection and tests: a panic inside the
-	// hook is contained exactly like a panic in the shard's profiler, and
-	// a sleep inside it models a slow shard. Leave nil in production.
+	// WorkerHook, when non-nil, runs immediately before a batch is
+	// observed, with the shard index and the batch: in each shard's worker
+	// goroutine, or on the caller's goroutine (with the caller's batch and
+	// the engine's lock held, so it must not call the engine) for a
+	// one-shard engine. It exists for fault injection and tests: a
+	// panic inside the hook is contained exactly like a panic in the
+	// shard's profiler, and a sleep inside it models a slow shard. Leave
+	// nil in production.
 	WorkerHook func(shard int, batch []event.Tuple)
 }
 
@@ -196,22 +204,33 @@ type request struct {
 // barriers never block on it; the engine degrades to reporting the
 // healthy shards' profiles alongside the non-nil Err.
 //
-// A Profiler owns NumShards goroutines. Close shuts them down gracefully,
-// letting every queued batch drain first; Drain does the same but also
-// returns the unfinished interval's profile. Using a closed Profiler does
-// not panic: observations become no-ops, snapshots come back nil, and
-// ErrClosed is reported through Err (or directly from Drain).
+// A Profiler with N >= 2 shards owns N goroutines. Close shuts them down
+// gracefully, letting every queued batch drain first; Drain does the same
+// but also returns the unfinished interval's profile. Using a closed
+// Profiler does not panic: observations become no-ops, snapshots come back
+// nil, and ErrClosed is reported through Err (or directly from Drain).
+//
+// # One shard runs inline
+//
+// A one-shard Profiler owns no goroutine. Observe, ObserveBatch and
+// EndInterval drive its MultiHash directly on the caller's goroutine,
+// under the same router mutex, so they stay safe for concurrent
+// producers. Each call runs under its own recover, so the failure
+// containment above holds unchanged: a panic is recorded through Err and
+// the failed shard answers nil snapshots from then on. EndInterval
+// returns the shard's own snapshot and Recycle hands it straight back.
 type Profiler struct {
 	cfg     Config
 	workers []*worker
-	pool    sync.Pool // *[]event.Tuple, capacity cfg.BatchSize
+	pool    sync.Pool // *[]event.Tuple, capacity cfg.BatchSize; N >= 2 only
 
 	mu      sync.Mutex
-	pending []*[]event.Tuple // per shard, partially filled route buffers
+	pending []*[]event.Tuple // per shard, partially filled route buffers; N >= 2 only
 	events  uint64
 	closed  bool
-	spare   map[event.Tuple]uint64   // recycled merge map, see Recycle
-	snaps   []map[event.Tuple]uint64 // barrier merge scratch, len NumShards
+	spare   map[event.Tuple]uint64   // recycled merge map, see Recycle; N >= 2 only
+	snaps   []map[event.Tuple]uint64 // barrier merge scratch, len NumShards; N >= 2 only
+	one     [1]event.Tuple           // Observe's batch of one, one shard only
 
 	errMu sync.Mutex
 	err   error // first terminal failure: worker panic or use-after-close
@@ -221,7 +240,8 @@ type Profiler struct {
 
 // worker is one shard: a MultiHash, the channel that feeds it, and the
 // failure flag of the goroutine serving it. failed is touched only by the
-// worker goroutine itself.
+// worker goroutine itself, or under p.mu for an inline (one-shard) engine,
+// whose ch is nil.
 type worker struct {
 	idx    int
 	mh     *core.MultiHash
@@ -229,22 +249,14 @@ type worker struct {
 	failed bool
 }
 
-// New builds the engine and starts its shard goroutines.
+// New builds the engine and, with two or more shards, starts its shard
+// goroutines. A one-shard engine starts none: it runs inline.
 func New(cfg Config) (*Profiler, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Profiler{
-		cfg:     cfg,
-		workers: make([]*worker, cfg.NumShards),
-		pending: make([]*[]event.Tuple, cfg.NumShards),
-		snaps:   make([]map[event.Tuple]uint64, cfg.NumShards),
-	}
-	p.pool.New = func() any {
-		buf := make([]event.Tuple, 0, cfg.BatchSize)
-		return &buf
-	}
+	p := &Profiler{cfg: cfg, workers: make([]*worker, cfg.NumShards)}
 	// Build every shard before starting any goroutine, so a failure here
 	// leaks nothing.
 	for i := range p.workers {
@@ -252,7 +264,19 @@ func New(cfg Config) (*Profiler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		p.workers[i] = &worker{idx: i, mh: mh, ch: make(chan request, cfg.QueueDepth)}
+		p.workers[i] = &worker{idx: i, mh: mh}
+	}
+	if p.inline() {
+		return p, nil
+	}
+	p.pending = make([]*[]event.Tuple, cfg.NumShards)
+	p.snaps = make([]map[event.Tuple]uint64, cfg.NumShards)
+	p.pool.New = func() any {
+		buf := make([]event.Tuple, 0, cfg.BatchSize)
+		return &buf
+	}
+	for i, w := range p.workers {
+		w.ch = make(chan request, cfg.QueueDepth)
 		p.pending[i] = p.pool.Get().(*[]event.Tuple)
 	}
 	for _, w := range p.workers {
@@ -281,8 +305,7 @@ func (p *Profiler) serve(w *worker) {
 func (p *Profiler) handle(w *worker, req request) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.failed = true
-			p.fail(fmt.Errorf("shard %d: worker panic: %v", w.idx, r))
+			p.failShard(w, r)
 			if req.out != nil {
 				req.out <- nil // the barrier must still be answered
 			}
@@ -304,6 +327,51 @@ func (p *Profiler) handle(w *worker, req request) {
 	}
 	*req.batch = (*req.batch)[:0]
 	p.pool.Put(req.batch)
+}
+
+// inline reports whether the engine runs its single shard on the
+// caller's goroutine.
+func (p *Profiler) inline() bool { return len(p.workers) == 1 }
+
+// observeInline feeds batch to the single shard on the caller's
+// goroutine, with the same containment handle gives a worker: a panic
+// fails the shard, which then ignores every later batch. Callers hold
+// p.mu.
+func (p *Profiler) observeInline(batch []event.Tuple) {
+	w := p.workers[0]
+	if w.failed {
+		return
+	}
+	defer p.recoverInline()
+	if p.cfg.WorkerHook != nil {
+		p.cfg.WorkerHook(0, batch)
+	}
+	w.mh.ObserveBatch(batch)
+}
+
+// endInline snapshots the single shard, or returns nil once it has
+// failed. Callers hold p.mu.
+func (p *Profiler) endInline() (snap map[event.Tuple]uint64) {
+	w := p.workers[0]
+	if w.failed {
+		return nil
+	}
+	defer p.recoverInline()
+	return w.mh.EndInterval()
+}
+
+// recoverInline is deferred around every call into the inline shard: it
+// turns a panic there into the engine's terminal error.
+func (p *Profiler) recoverInline() {
+	if r := recover(); r != nil {
+		p.failShard(p.workers[0], r)
+	}
+}
+
+// failShard marks shard w failed after a contained panic r.
+func (p *Profiler) failShard(w *worker, r any) {
+	w.failed = true
+	p.fail(fmt.Errorf("shard %d: worker panic: %v", w.idx, r))
 }
 
 // fail records the engine's first terminal error; later failures keep the
@@ -355,7 +423,12 @@ func (p *Profiler) Observe(tp event.Tuple) {
 		p.fail(ErrClosed)
 		return
 	}
-	p.route(tp)
+	if p.inline() {
+		p.one[0] = tp
+		p.observeInline(p.one[:])
+	} else {
+		p.route(tp)
+	}
 	p.events++
 }
 
@@ -369,8 +442,12 @@ func (p *Profiler) ObserveBatch(batch []event.Tuple) {
 		p.fail(ErrClosed)
 		return
 	}
-	for _, tp := range batch {
-		p.route(tp)
+	if p.inline() {
+		p.observeInline(batch)
+	} else {
+		for _, tp := range batch {
+			p.route(tp)
+		}
 	}
 	p.events += uint64(len(batch))
 }
@@ -392,7 +469,8 @@ func (p *Profiler) route(tp event.Tuple) {
 // policy, and returns the union of the shard snapshots — the engine's
 // profile for the interval just finished. A failed shard contributes
 // nothing (its loss is reported through Err); after Close, EndInterval
-// returns nil and records ErrClosed.
+// returns nil and records ErrClosed. A one-shard engine returns its
+// shard's snapshot directly: there is nothing to flush, drain or merge.
 func (p *Profiler) EndInterval() map[event.Tuple]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -400,9 +478,18 @@ func (p *Profiler) EndInterval() map[event.Tuple]uint64 {
 		p.fail(ErrClosed)
 		return nil
 	}
-	merged := p.barrier()
+	merged := p.end()
 	p.events = 0
 	return merged
+}
+
+// end closes the interval: the inline shard's own snapshot, or the
+// barrier's merge of every shard's. Callers hold p.mu.
+func (p *Profiler) end() map[event.Tuple]uint64 {
+	if p.inline() {
+		return p.endInline()
+	}
+	return p.barrier()
 }
 
 // barrier flushes partial route buffers, posts a snapshot barrier to every
@@ -462,16 +549,21 @@ func (p *Profiler) barrier() map[event.Tuple]uint64 {
 }
 
 // Recycle hands an interval profile back to the engine for reuse as a
-// future merge target (see core.Recycler). The map is cleared; callers
-// must no longer touch it. The batched drivers call this automatically
-// under RunConfig.ReuseProfiles.
+// future merge target (see core.Recycler) — or, at one shard, straight
+// back to the shard's MultiHash as its next snapshot. The map is cleared;
+// callers must no longer touch it. The batched drivers call this
+// automatically under RunConfig.ReuseProfiles.
 func (p *Profiler) Recycle(m map[event.Tuple]uint64) {
 	if m == nil {
 		return
 	}
 	clear(m)
 	p.mu.Lock()
-	p.spare = m
+	if p.inline() {
+		p.workers[0].mh.Recycle(m)
+	} else {
+		p.spare = m
+	}
 	p.mu.Unlock()
 }
 
@@ -480,9 +572,10 @@ func (p *Profiler) Recycle(m map[event.Tuple]uint64) {
 // through its queue, snapshots the partial interval, stops the shard
 // goroutines, and returns the partial interval's profile — exactly the
 // events observed since the last boundary, as a sequential replay of each
-// shard's sub-stream would report them. The error is the engine's terminal
-// error (nil for a healthy engine, the panic error for a degraded one) or
-// ErrClosed when the engine was already shut down.
+// shard's sub-stream would report them. A one-shard engine has no buffers
+// or goroutines, so Drain just snapshots its shard. The error is the
+// engine's terminal error (nil for a healthy engine, the panic error for a
+// degraded one) or ErrClosed when the engine was already shut down.
 func (p *Profiler) Drain() (map[event.Tuple]uint64, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -490,12 +583,15 @@ func (p *Profiler) Drain() (map[event.Tuple]uint64, error) {
 		return nil, ErrClosed
 	}
 	p.closed = true
-	merged := p.barrier()
+	merged := p.end()
 	p.events = 0
 	// The barrier answers only after each shard worked through its queue,
 	// so every channel is empty here and close just releases the workers.
-	for _, w := range p.workers {
-		close(w.ch)
+	// An inline engine has none.
+	if !p.inline() {
+		for _, w := range p.workers {
+			close(w.ch)
+		}
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
@@ -503,10 +599,10 @@ func (p *Profiler) Drain() (map[event.Tuple]uint64, error) {
 }
 
 // Close shuts the engine down gracefully: queued batches are flushed into
-// the shards, the shard goroutines stop, and their storage is released.
-// The unfinished interval's profile is computed but discarded — call Drain
-// instead to keep it. After Close the Profiler records ErrClosed on use
-// rather than panicking. Close is idempotent.
+// the shards, the shard goroutines (if any) stop, and their storage is
+// released. The unfinished interval's profile is computed but discarded —
+// call Drain instead to keep it. After Close the Profiler records
+// ErrClosed on use rather than panicking. Close is idempotent.
 func (p *Profiler) Close() {
 	p.Drain()
 }

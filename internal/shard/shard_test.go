@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hwprof/internal/core"
 	"hwprof/internal/event"
@@ -308,4 +309,60 @@ func TestWorkerPanicContained(t *testing.T) {
 	// The engine keeps absorbing events without blocking after the failure.
 	engine.ObserveBatch(workload(t, 10_000))
 	engine.EndInterval()
+}
+
+// TestInlineWorkerPanicContained: at one shard the engine runs on the
+// caller's goroutine, and a panic there is contained just as in a worker:
+// it surfaces through Err, later boundaries answer nil without blocking,
+// and Drain reports the failure.
+func TestInlineWorkerPanicContained(t *testing.T) {
+	cfg := Config{Core: baseConfig(), NumShards: 1}
+	cfg.WorkerHook = func(shard int, batch []event.Tuple) {
+		panic("injected shard fault")
+	}
+	engine, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		engine.ObserveBatch(workload(t, 1_000))
+		if err := engine.Err(); err == nil || !strings.Contains(err.Error(), "worker panic") {
+			t.Errorf("Err = %v, want contained worker panic", err)
+		}
+		for i := 0; i < 3; i++ {
+			engine.Observe(event.Tuple{A: uint64(i)})
+			if p := engine.EndInterval(); p != nil {
+				t.Errorf("failed shard answered a profile of %d entries", len(p))
+			}
+		}
+		if _, err := engine.Drain(); err == nil || !strings.Contains(err.Error(), "worker panic") {
+			t.Errorf("Drain = %v, want the contained worker panic", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("failed one-shard engine blocked")
+	}
+}
+
+// TestInlineIntervalAllocatesNothing: at one shard a steady-state interval
+// — observe, EndInterval, Recycle — hands the snapshot map back and forth
+// between caller and MultiHash and allocates nothing.
+func TestInlineIntervalAllocatesNothing(t *testing.T) {
+	engine := newEngine(t, Config{Core: baseConfig(), NumShards: 1})
+	chunk := workload(t, baseConfig().IntervalLength)
+	cycle := func() {
+		engine.ObserveBatch(chunk)
+		engine.Recycle(engine.EndInterval())
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // warm up: the snapshot map and accumulator reach full size
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("one-shard interval cycle allocates %.1f times, want 0", allocs)
+	}
 }
