@@ -51,6 +51,7 @@ type Table struct {
 	threshold uint64
 	seq       uint64 // last insertion sequence number handed out
 	live      int    // occupied slots
+	repl      int    // occupied slots flagged replaceable
 	mask      uint32 // len(slices) - 1; power-of-two slot count
 
 	// Parallel slot arrays (struct-of-arrays): the per-event probe loop
@@ -109,15 +110,26 @@ func slotHash(tp event.Tuple) uint32 {
 // slot probes for tp: (slot index, true) when resident, else (first free
 // slot on tp's probe path, false). Termination is guaranteed by the ≤ 1/2
 // load factor.
+//
+// Each step is branch-light: the tuple compares by xor and the occupied
+// bit turns into an all-ones or all-zero mask, so "tp lives here" and
+// "the slot is empty" leave the loop on one path, and only a slot held by
+// a different occupied tuple loops on. At the ≤ 1/2 load factor most
+// probes settle at the home slot, so a stream that interleaves
+// resident and absent tuples at random does not pay a misprediction per
+// lookup. An empty slot keeps the bytes of the tuple that last lived
+// there, which is why the compare is masked by meta: an empty slot
+// reports absent even when its stale bytes match.
 func (t *Table) slot(tp event.Tuple) (uint32, bool) {
 	i := slotHash(tp) & t.mask
-	for t.meta[i]&occupied != 0 {
-		if t.tuples[i] == tp {
-			return i, true
+	for {
+		occ := uint64(t.meta[i] & occupied)
+		h := t.tuples[i]
+		if ((h.A^tp.A)|(h.B^tp.B))&-occ == 0 {
+			return i, occ != 0
 		}
 		i = (i + 1) & t.mask
 	}
-	return i, false
 }
 
 // Capacity returns the table's entry capacity.
@@ -160,7 +172,8 @@ func (t *Table) Inc(tp event.Tuple) bool {
 // Probe looks tp up without mutating anything: (slot, true) when resident.
 // The slot stays valid until the next Insert or EndInterval (an Insert may
 // backward-shift entries), which lets a staged batch pipeline separate the
-// residency probe from the deferred IncSlot commit.
+// residency probe from the deferred IncSlot commit. Most probes settle at
+// the home slot without a data-dependent branch (see slot).
 func (t *Table) Probe(tp event.Tuple) (uint32, bool) { return t.slot(tp) }
 
 // IncSlot applies Inc's count-and-flag update to an already-probed slot.
@@ -170,6 +183,7 @@ func (t *Table) IncSlot(i uint32) {
 	t.counts[i] = c
 	if t.meta[i]&replaceable != 0 && c >= t.threshold {
 		t.meta[i] &^= replaceable
+		t.repl--
 	}
 }
 
@@ -190,6 +204,7 @@ func (t *Table) Insert(tp event.Tuple, initial uint64) bool {
 			return false
 		}
 		t.remove(v)
+		t.repl--
 		// The backward shift may have reshaped tp's probe chain;
 		// re-probe for the free slot.
 		i, _ = t.slot(tp)
@@ -201,6 +216,7 @@ func (t *Table) Insert(tp event.Tuple, initial uint64) bool {
 	m := uint8(occupied)
 	if initial < t.threshold {
 		m |= replaceable
+		t.repl++
 	}
 	t.meta[i] = m
 	t.live++
@@ -210,8 +226,13 @@ func (t *Table) Insert(tp event.Tuple, initial uint64) bool {
 // victim selects the replaceable entry with the smallest count, breaking
 // ties by age (smaller seq first) — a full scan, like the hardware's
 // parallel compare across its handful of entries. ok is false when nothing
-// is replaceable.
+// is replaceable, which the replaceable count answers without a scan:
+// once an interval's promotions have filled the table with
+// non-replaceable entries, every further promotion attempt fails at once.
 func (t *Table) victim() (idx uint32, ok bool) {
+	if t.repl == 0 {
+		return 0, false
+	}
 	var (
 		bestCount uint64
 		bestSeq   uint64
@@ -336,6 +357,7 @@ func (t *Table) EndInterval(retain bool) {
 		t.meta[i] = occupied | replaceable
 		t.live++
 	}
+	t.repl = t.live
 	t.keepTuples, t.keepSeqs = keepT, keepS
 }
 
@@ -343,5 +365,5 @@ func (t *Table) EndInterval(retain bool) {
 // arrays are dead until their slots are re-occupied.
 func (t *Table) clearAll() {
 	clear(t.meta)
-	t.live = 0
+	t.live, t.repl = 0, 0
 }

@@ -257,3 +257,69 @@ func TestWorstCaseBound(t *testing.T) {
 		t.Fatalf("table holds %d, want %d", tbl.Len(), capacity)
 	}
 }
+
+// homeMates returns n distinct tuples that share one home slot in tbl,
+// so they form a single linear-probe chain in insertion order.
+func homeMates(t *testing.T, tbl *Table, n int) []event.Tuple {
+	t.Helper()
+	first := event.Tuple{A: 0x1234, B: 1}
+	home := slotHash(first) & tbl.mask
+	out := []event.Tuple{first}
+	for b := uint64(2); len(out) < n; b++ {
+		if b > 1<<20 {
+			t.Fatal("no home-slot collisions found")
+		}
+		tp := event.Tuple{A: 0x1234, B: b}
+		if slotHash(tp)&tbl.mask == home {
+			out = append(out, tp)
+		}
+	}
+	return out
+}
+
+// TestProbeEmptyHomeWithStaleBytes pins the masked home-slot compare: a
+// flush clears only the meta bytes, so an emptied home slot still holds
+// the bytes of the tuple that lived there, and Probe must report that
+// tuple absent rather than match the stale copy.
+func TestProbeEmptyHomeWithStaleBytes(t *testing.T) {
+	tbl := mustNew(t, 4, 10)
+	tp := event.Tuple{A: 7, B: 9}
+	tbl.Insert(tp, 3)
+	home, ok := tbl.Probe(tp)
+	if !ok {
+		t.Fatal("inserted tuple not resident")
+	}
+	tbl.EndInterval(false)
+	if tbl.tuples[home] != tp || tbl.meta[home] != 0 {
+		t.Fatalf("precondition: slot %d holds %v meta %#x, want stale %v with meta 0",
+			home, tbl.tuples[home], tbl.meta[home], tp)
+	}
+	if s, ok := tbl.Probe(tp); ok || s != home {
+		t.Fatalf("Probe after flush = (%d, %v), want (%d, false)", s, ok, home)
+	}
+	if tbl.Inc(tp) {
+		t.Fatal("Inc counted a flushed tuple through its stale slot bytes")
+	}
+}
+
+// TestProbeWalksChainPastOtherTuple pins the slow path: when the home
+// slot holds a different occupied tuple, Probe must walk the chain and
+// find a resident tuple further down it, and report an absent one at the
+// first free slot past the chain.
+func TestProbeWalksChainPastOtherTuple(t *testing.T) {
+	tbl := mustNew(t, 4, 10)
+	mates := homeMates(t, tbl, 3)
+	tbl.Insert(mates[0], 1)
+	tbl.Insert(mates[1], 2)
+	home, _ := tbl.Probe(mates[0])
+	s, ok := tbl.Probe(mates[1])
+	if !ok || s != (home+1)&tbl.mask {
+		t.Fatalf("Probe(second chain member) = (%d, %v), want (%d, true)", s, ok, (home+1)&tbl.mask)
+	}
+	if c, _ := tbl.Count(mates[1]); c != 2 {
+		t.Fatalf("second chain member count %d, want 2", c)
+	}
+	if s, ok := tbl.Probe(mates[2]); ok || s != (home+2)&tbl.mask {
+		t.Fatalf("Probe(absent mate) = (%d, %v), want (%d, false)", s, ok, (home+2)&tbl.mask)
+	}
+}

@@ -152,6 +152,17 @@ func TestDifferentialVsMapReference(t *testing.T) {
 					if len(snap) != len(ref.entries) {
 						t.Fatalf("op %d: snapshot size %d, ref %d", op, len(snap), len(ref.entries))
 					}
+					// victim answers "nothing replaceable" from the
+					// running count, so it must match the flags.
+					repl := 0
+					for _, e := range ref.entries {
+						if e.replaceable {
+							repl++
+						}
+					}
+					if opt.repl != repl {
+						t.Fatalf("op %d: replaceable count %d, ref %d", op, opt.repl, repl)
+					}
 				}
 			}
 		})

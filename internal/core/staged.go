@@ -8,14 +8,19 @@ package core
 // pointer receiver. The staged pipeline splits the same work into passes
 // over a lookahead window:
 //
-//  1. Stage (pure): probe accumulator residency and evaluate hashfn.Fused
-//     for every event of the window into recycled scratch (slot-or-flag +
-//     packed index word per event). Nothing is mutated, so staged results
-//     are discardable.
-//  2. Commit (ordered): walk the window in event order against a
-//     counter.Hot view — resident events apply their deferred exact-count
-//     increment via the staged slot, hash-path events do their n counter
-//     updates with all Set invariants held in registers.
+//  1. Stage (pure): probe accumulator residency for every event of the
+//     window and partition it, branch-free, into a resident list
+//     (accumulator slot + window position) and a hash-path list (window
+//     position + hashfn.Fused packed index word, evaluated for these
+//     events only). Nothing is mutated, so staged results are
+//     discardable.
+//  2. Commit (ordered): walk the hash-path list in event order against a
+//     counter.Hot view, doing each event's n counter updates with all Set
+//     invariants held in registers; then apply the resident list's
+//     deferred exact-count increments in a second tight loop. The only
+//     reader of those counts on the hash path is a promotion's victim
+//     choice, so a crossing event first applies the resident increments
+//     that precede it.
 //
 // Staleness is the correctness crux: staged residency is valid only while
 // the accumulator's membership is unchanged, and membership changes exactly
@@ -24,7 +29,8 @@ package core
 // therefore stops at the first successful Insert and reports how many
 // events it consumed; the driver restages the rest of the window. Staging
 // is pure, so a restage costs only recomputed probes and hashes — there is
-// never anything to roll back. Promotions are bounded per interval by the
+// never anything to roll back; the suffix's resident increments were not
+// applied yet, so they are staged again with fresh slots. Promotions are bounded per interval by the
 // accumulator's own capacity argument (§5.1), so restages are rare and the
 // steady state runs whole windows.
 //
@@ -38,45 +44,73 @@ import (
 	"hwprof/internal/hashfn"
 )
 
-const (
-	// stagedWindow is the lookahead window length: how far the stage pass
-	// runs ahead of the commit cursor. Long enough that the stage pass's
-	// independent loads overlap, short enough that a restage after a
-	// promotion stays cheap.
-	stagedWindow = 64
+// stagedWindow is the lookahead window length: how far the stage pass
+// runs ahead of the commit cursor. Long enough that the stage pass's
+// independent loads overlap, short enough that a restage after a
+// promotion stays cheap. A window position fits in one byte.
+const stagedWindow = 64
 
-	// stagedResident flags a staged slot word as "resident, slot in the
-	// low bits". Accumulator slot counts are tiny (2×capacity), so the
-	// top bit is always free.
-	stagedResident = 1 << 31
-)
-
-// stagedScratch is the recycled per-profiler scratch of the staged
-// pipeline. It is sized to one window at construction, so the
-// steady-state pipeline never allocates.
+// stagedScratch is the per-profiler scratch of the staged pipeline: one
+// window's residency partition, held inline in the MultiHash so the
+// pipeline never allocates.
+//
+// The stage pass compacts the window into two lists, each in event order.
+// Hash-path event k has its fused index word in packed[k] and its window
+// position in pos[k]; resident event k has its accumulator slot in res[k]
+// and its window position in pos[stagedWindow-1-k]. The two position
+// lists fill pos from opposite ends and together hold exactly one entry
+// per window event, so they never overlap.
 type stagedScratch struct {
-	packed []uint64 // stage: fused index word per window event
-	slots  []uint32 // stage: accumulator slot | stagedResident, or 0
+	packed [stagedWindow]uint64
+	res    [stagedWindow]uint32
+	pos    [stagedWindow]uint8
 }
 
-// stage fills the scratch with the window's residency probes and fused
-// index words. Pure: the accumulator and counters are not touched, so a
-// stale window can simply be staged again.
-func (m *MultiHash) stage(win []event.Tuple) {
+// stage partitions win by accumulator residency and evaluates the fused
+// hash for the hash-path events only, returning the two list lengths.
+// The partition is branch-free: every event is written to both lists
+// and only the matching list's length advances. (The position written to
+// the other list lands in a cell that list has not claimed: both cursors
+// together have consumed w cells of pos, so the spare write can only
+// meet the other list at the last position, where it writes the same
+// value.) Pure: the accumulator and counters are not touched, so a stale
+// window can simply be staged again.
+func (m *MultiHash) stage(win []event.Tuple) (nh, nr int) {
 	sc := &m.sc
-	packed := sc.packed[:0]
-	slots := sc.slots[:0]
-	acc, fu := m.acc, m.fused
-	for _, tp := range win {
-		if s, ok := acc.Probe(tp); ok {
-			slots = append(slots, s|stagedResident)
-			packed = append(packed, 0)
-			continue
+	acc := m.acc
+	for w, tp := range win {
+		s, ok := acc.Probe(tp)
+		r := 0
+		if ok {
+			r = 1
 		}
-		slots = append(slots, 0)
-		packed = append(packed, fu.Packed(tp))
+		sc.res[nr&(stagedWindow-1)] = s
+		sc.pos[nh&(stagedWindow-1)] = uint8(w)
+		sc.pos[(stagedWindow-1-nr)&(stagedWindow-1)] = uint8(w)
+		nr += r
+		nh += 1 - r
 	}
-	sc.packed, sc.slots = packed, slots
+	fu := m.fused
+	packed := sc.packed[:nh]
+	for k, w := range sc.pos[:nh] {
+		packed[k] = fu.Packed(win[w])
+	}
+	return nh, nr
+}
+
+// incResidents applies the staged resident increments from cursor rc on
+// whose window position is below lim, and returns the advanced cursor.
+// Shielded resident events touch only the accumulator's exact counts,
+// which nothing on the hash path reads except a promotion's victim
+// choice, so the commit loops defer them: before each Insert they apply
+// every resident increment that precedes the promoting event, and at
+// window end the rest, in one tight loop.
+func (m *MultiHash) incResidents(rc, nr, lim int) int {
+	sc, acc := &m.sc, m.acc
+	for ; rc < nr && int(sc.pos[stagedWindow-1-rc]) < lim; rc++ {
+		acc.IncSlot(sc.res[rc])
+	}
+	return rc
 }
 
 // observeStagedConservative drives the staged pipeline for shielded C1
@@ -85,16 +119,12 @@ func (m *MultiHash) stage(win []event.Tuple) {
 func (m *MultiHash) observeStagedConservative(batch []event.Tuple, hot counter.Hot) {
 	n := m.fused.Len()
 	for lo := 0; lo < len(batch); {
-		hi := lo + stagedWindow
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		win := batch[lo:hi]
-		m.stage(win)
+		win := batch[lo:min(lo+stagedWindow, len(batch))]
+		nh, nr := m.stage(win)
 		if n == 4 {
-			lo += m.commitConservative4(win, hot)
+			lo += m.commitConservative4(win, hot, nh, nr)
 		} else {
-			lo += m.commitConservativeN(win, hot, n)
+			lo += m.commitConservativeN(win, hot, nh, nr, n)
 		}
 	}
 }
@@ -103,39 +133,39 @@ func (m *MultiHash) observeStagedConservative(batch []event.Tuple, hot counter.H
 func (m *MultiHash) observeStagedPlain(batch []event.Tuple, hot counter.Hot) {
 	n := m.fused.Len()
 	for lo := 0; lo < len(batch); {
-		hi := lo + stagedWindow
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		win := batch[lo:hi]
-		m.stage(win)
+		win := batch[lo:min(lo+stagedWindow, len(batch))]
+		nh, nr := m.stage(win)
 		switch n {
 		case 4:
-			lo += m.commitPlain4(win, hot)
+			lo += m.commitPlain4(win, hot, nh, nr)
 		case 1:
-			lo += m.commitPlain1(win, hot)
+			lo += m.commitPlain1(win, hot, nh, nr)
 		default:
-			lo += m.commitPlainN(win, hot, n)
+			lo += m.commitPlainN(win, hot, nh, nr, n)
 		}
 	}
 }
 
+// Every commit loop below walks the window's nh hash-path events in event
+// order and returns the number of window events consumed: the whole
+// window, or up to and including the first successful promotion (after
+// which the staged suffix is stale, resident slots included, and the
+// driver restages it). A crossing event first applies the resident
+// increments that precede it (incResidents), so the Insert's victim
+// choice sees exactly the counts the per-event order gives it.
+
 // commitPlain1 is the single-hash architecture's commit: one counter, no
 // minimum to form.
-func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot) int {
+func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot, nh, nr int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		j := packed[w] & hashfn.FusedMask
+	pos := sc.pos[:nh]
+	rc := 0
+	for k, p := range sc.packed[:nh] {
+		j := p & hashfn.FusedMask
 		var v uint32
 		if wd := words[j]; wd&^cmask == etag {
 			v = wd & cmask
@@ -147,40 +177,38 @@ func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot) int {
 		if v < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(v)) {
+		w := int(pos[k])
+		rc = m.incResidents(rc, nr, w)
+		if acc.Insert(win[w], uint64(v)) {
 			if reset {
 				words[j] = etag
 			}
 			return w + 1
 		}
 	}
+	m.incResidents(rc, nr, stagedWindow)
 	return len(win)
 }
 
 // commitConservative4 commits a staged window under conservative update
-// with the paper's 4-table shape, fully unrolled. It returns the number of
-// events consumed: the whole window, or up to and including the first
-// successful promotion (after which the staged suffix is stale).
+// with the paper's 4-table shape, fully unrolled.
 //
 // Per hash-path event: four counter loads, a branch-light 4-way minimum,
-// and guarded stores to exactly the minimum-valued counters — the same
-// dataflow as the ordered reference, minus the redundant re-reads and
-// per-call invariant reloads.
-func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int {
+// and a select-then-store of every counter: the minimum-valued ones take
+// the updated count, the others their own word back. The four counters
+// live in disjoint tables, so rewriting an unchanged word is exact, and
+// the selects compile to conditional moves instead of four
+// data-dependent branches.
+func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot, nh, nr int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	pos := sc.pos[:nh]
+	rc := 0
+	for k, p := range sc.packed[:nh] {
 		j0 := int(p & hashfn.FusedMask)
 		j1 := size + int((p>>16)&hashfn.FusedMask)
 		j2 := 2*size + int((p>>32)&hashfn.FusedMask)
@@ -216,22 +244,26 @@ func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int 
 			nv++
 		}
 		up := etag | nv
+		x0, x1, x2, x3 := w0, w1, w2, w3
 		if v0 == min {
-			words[j0] = up
+			x0 = up
 		}
 		if v1 == min {
-			words[j1] = up
+			x1 = up
 		}
 		if v2 == min {
-			words[j2] = up
+			x2 = up
 		}
 		if v3 == min {
-			words[j3] = up
+			x3 = up
 		}
+		words[j0], words[j1], words[j2], words[j3] = x0, x1, x2, x3
 		if nv < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(nv)) {
+		w := int(pos[k])
+		rc = m.incResidents(rc, nr, w)
+		if acc.Insert(win[w], uint64(nv)) {
 			if reset {
 				words[j0] = etag
 				words[j1] = etag
@@ -241,35 +273,33 @@ func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int 
 			return w + 1 // membership changed: staged suffix is stale
 		}
 	}
+	m.incResidents(rc, nr, stagedWindow)
 	return len(win)
 }
 
 // commitConservativeN is commitConservative4 for the other fusable shapes
 // (1–3 tables).
-func (m *MultiHash) commitConservativeN(win []event.Tuple, hot counter.Hot, n int) int {
+func (m *MultiHash) commitConservativeN(win []event.Tuple, hot counter.Hot, nh, nr, n int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
+	pos := sc.pos[:nh]
+	rc := 0
 	var js [4]int
-	var vs [4]uint32
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	var ws, vs [4]uint32
+	for k, p := range sc.packed[:nh] {
 		min := ^uint32(0)
 		base := 0
 		for t := 0; t < n; t++ {
 			j := base + int(p&hashfn.FusedMask)
 			js[t] = j
+			wd := words[j]
+			ws[t] = wd
 			var v uint32
-			if wd := words[j]; wd&^cmask == etag {
+			if wd&^cmask == etag {
 				v = wd & cmask
 			}
 			vs[t] = v
@@ -285,14 +315,18 @@ func (m *MultiHash) commitConservativeN(win []event.Tuple, hot counter.Hot, n in
 		}
 		up := etag | nv
 		for t := 0; t < n; t++ {
+			x := ws[t]
 			if vs[t] == min {
-				words[js[t]] = up
+				x = up
 			}
+			words[js[t]] = x
 		}
 		if nv < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(nv)) {
+		w := int(pos[k])
+		rc = m.incResidents(rc, nr, w)
+		if acc.Insert(win[w], uint64(nv)) {
 			if reset {
 				for t := 0; t < n; t++ {
 					words[js[t]] = etag
@@ -301,27 +335,23 @@ func (m *MultiHash) commitConservativeN(win []event.Tuple, hot counter.Hot, n in
 			return w + 1
 		}
 	}
+	m.incResidents(rc, nr, stagedWindow)
 	return len(win)
 }
 
 // commitPlain4 commits a staged window under plain (C0) update with the
 // 4-table shape: every counter increments and the promotion minimum falls
 // out of the increment pass.
-func (m *MultiHash) commitPlain4(win []event.Tuple, hot counter.Hot) int {
+func (m *MultiHash) commitPlain4(win []event.Tuple, hot counter.Hot, nh, nr int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	pos := sc.pos[:nh]
+	rc := 0
+	for k, p := range sc.packed[:nh] {
 		j0 := int(p & hashfn.FusedMask)
 		j1 := size + int((p>>16)&hashfn.FusedMask)
 		j2 := 2*size + int((p>>32)&hashfn.FusedMask)
@@ -369,7 +399,9 @@ func (m *MultiHash) commitPlain4(win []event.Tuple, hot counter.Hot) int {
 		if min < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(min)) {
+		w := int(pos[k])
+		rc = m.incResidents(rc, nr, w)
+		if acc.Insert(win[w], uint64(min)) {
 			if reset {
 				words[j0] = etag
 				words[j1] = etag
@@ -379,27 +411,22 @@ func (m *MultiHash) commitPlain4(win []event.Tuple, hot counter.Hot) int {
 			return w + 1
 		}
 	}
+	m.incResidents(rc, nr, stagedWindow)
 	return len(win)
 }
 
-// commitPlainN is commitPlain4 for the other fusable shapes (1–3 tables);
-// with one table it is the single-hash architecture's hot loop.
-func (m *MultiHash) commitPlainN(win []event.Tuple, hot counter.Hot, n int) int {
+// commitPlainN is commitPlain4 for the other fusable shapes (2–3 tables).
+func (m *MultiHash) commitPlainN(win []event.Tuple, hot counter.Hot, nh, nr, n int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
+	pos := sc.pos[:nh]
+	rc := 0
 	var js [4]int
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	for k, p := range sc.packed[:nh] {
 		min := ^uint32(0)
 		base := 0
 		for t := 0; t < n; t++ {
@@ -422,7 +449,9 @@ func (m *MultiHash) commitPlainN(win []event.Tuple, hot counter.Hot, n int) int 
 		if min < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(min)) {
+		w := int(pos[k])
+		rc = m.incResidents(rc, nr, w)
+		if acc.Insert(win[w], uint64(min)) {
 			if reset {
 				for t := 0; t < n; t++ {
 					words[js[t]] = etag
@@ -431,5 +460,6 @@ func (m *MultiHash) commitPlainN(win []event.Tuple, hot counter.Hot, n int) int 
 			return w + 1
 		}
 	}
+	m.incResidents(rc, nr, stagedWindow)
 	return len(win)
 }

@@ -245,28 +245,6 @@ func (fu *Fused) Packed(t event.Tuple) uint64 {
 		fu.tabA[7][byte(a>>56)] ^ fu.tabB[7][byte(b>>56)]
 }
 
-// PackedInto evaluates Packed for every tuple of batch, appending into dst
-// (reuse a recycled scratch slice to stay allocation-free). Evaluating a
-// whole batch in one branch-free pass decouples the 16 dependent table
-// loads per tuple from the consumer's control flow: the index-generation
-// stage of the staged observation pipeline runs at memory-level
-// parallelism instead of serializing behind per-event branches.
-func (fu *Fused) PackedInto(dst []uint64, batch []event.Tuple) []uint64 {
-	for _, t := range batch {
-		dst = append(dst, fu.Packed(t))
-	}
-	return dst
-}
-
-// IndexInto evaluates Index for every tuple of batch, appending into dst —
-// the single-function analog of Fused.PackedInto.
-func (f *Func) IndexInto(dst []uint32, batch []event.Tuple) []uint32 {
-	for _, t := range batch {
-		dst = append(dst, f.Index(t))
-	}
-	return dst
-}
-
 // Indexes computes the index of t under every function in the family,
 // appending into dst to avoid allocation on the hot path.
 func (fam *Family) Indexes(t event.Tuple, dst []uint32) []uint32 {
